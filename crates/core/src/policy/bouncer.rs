@@ -97,7 +97,7 @@ impl BouncerConfig {
     /// safe for *traffic lulls*, but under *rejection-driven* starvation it
     /// can deadlock: an interval in which a type is mostly rejected leaves
     /// only late-completing stragglers in the buffer, whose processing
-    /// times are biased high; a retained poisoned histogram then rejects
+    /// times are biased high; a retained, skewed histogram then rejects
     /// the type forever, and with no new completions it is never replaced.
     /// Unconditional swapping self-heals — an empty interval makes the type
     /// cold, re-enabling the general-histogram warm-up fallback. Enable

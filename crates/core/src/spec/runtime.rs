@@ -93,8 +93,7 @@ impl Default for SimSpec {
 /// Broker→shard transport in spec form (`liquid.transport`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportSpec {
-    /// In-process shared-queue channels (canonical spelling `channels`;
-    /// `inproc` is accepted as a legacy alias).
+    /// In-process shared-queue channels (`channels`).
     Channels,
     /// Thread-per-core SPSC rings, in process.
     Rings,
@@ -152,9 +151,6 @@ pub struct LiquidSpec {
     pub brokers: u32,
     /// Broker→shard transport (`liquid.transport = channels | rings | tcp`).
     pub transport: TransportSpec,
-    /// Coalesce per-round sub-queries into per-shard batches
-    /// (`liquid.batch_fanout`).
-    pub batch_fanout: bool,
     /// Shard-tier AcceptFraction threshold (`liquid.shard_max_utilization`).
     pub shard_max_utilization: f64,
     /// Traffic points as `label:factor` pairs, factors relative to measured
@@ -175,7 +171,6 @@ impl Default for LiquidSpec {
             strategy: StrategySpec::PrimaryOnly,
             brokers: 1,
             transport: TransportSpec::Channels,
-            batch_fanout: true,
             shard_max_utilization: defaults::LIQUID_SHARD_MAX_UTILIZATION,
             rate_points: defaults::LIQUID_RATE_LABELS
                 .iter()
@@ -344,24 +339,12 @@ impl LiquidSpec {
             "brokers" => self.brokers = parse_pos_u32("liquid.brokers", value)?,
             "transport" => {
                 self.transport = match value {
-                    "channels" | "inproc" => TransportSpec::Channels,
+                    "channels" => TransportSpec::Channels,
                     "rings" => TransportSpec::Rings,
                     "tcp" => TransportSpec::Tcp,
                     other => {
                         return Err(SpecError(format!(
-                            "liquid.transport must be `channels`, `rings`, or `tcp` \
-                             (`inproc` is a legacy alias for `channels`), got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "batch_fanout" => {
-                self.batch_fanout = match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(SpecError(format!(
-                            "liquid.batch_fanout must be `true` or `false`, got `{other}`"
+                            "liquid.transport must be `channels`, `rings`, or `tcp`, got `{other}`"
                         )))
                     }
                 }
@@ -399,7 +382,7 @@ impl LiquidSpec {
             other => {
                 return Err(SpecError(format!(
                     "unknown key `liquid.{other}` (shards, replicas, strategy, \
-                     brokers, transport, batch_fanout, shard_max_utilization, \
+                     brokers, transport, shard_max_utilization, \
                      rate_factors, graph_vertices, graph_edges_per_vertex)"
                 )))
             }
@@ -430,9 +413,6 @@ impl LiquidSpec {
                 }
                 .to_string(),
             );
-        }
-        if self.batch_fanout != d.batch_fanout {
-            out.push(format!("liquid.batch_fanout = {}", self.batch_fanout));
         }
         if self.shard_max_utilization != d.shard_max_utilization {
             out.push(format!(
@@ -548,7 +528,6 @@ mod tests {
             ("liquid.replicas", "2"),
             ("liquid.strategy", "hedged"),
             ("liquid.transport", "tcp"),
-            ("liquid.batch_fanout", "false"),
             ("liquid.rate_factors", "low:0.5 high:1.5"),
             ("liquid.graph_vertices", "1000000"),
             ("liquid.graph_edges_per_vertex", "4"),
@@ -560,7 +539,6 @@ mod tests {
         assert_eq!(liquid.replicas, 2);
         assert_eq!(liquid.strategy, StrategySpec::Hedged);
         assert_eq!(liquid.transport, TransportSpec::Tcp);
-        assert!(!liquid.batch_fanout);
         assert_eq!(
             liquid.rate_points,
             vec![("low".to_string(), 0.5), ("high".to_string(), 1.5)]
@@ -584,10 +562,8 @@ mod tests {
     #[test]
     fn liquid_transport_spellings_and_render() {
         let mut rt = RuntimeSpec::Liquid(LiquidSpec::default());
-        // Canonical spellings, plus the legacy `inproc` alias.
         for (spelling, want) in [
             ("channels", TransportSpec::Channels),
-            ("inproc", TransportSpec::Channels),
             ("rings", TransportSpec::Rings),
             ("tcp", TransportSpec::Tcp),
         ] {
@@ -595,7 +571,7 @@ mod tests {
             assert_eq!(rt.as_liquid().unwrap().transport, want, "{spelling}");
         }
         // Channels is the default, so it renders no transport line; the
-        // others render their canonical spelling (never `inproc`).
+        // others render their spelling.
         let lines_of = |spec: TransportSpec| {
             let rt = RuntimeSpec::Liquid(LiquidSpec {
                 transport: spec,

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bouncer_core::framework::{Gate, GateConfig, ServerStats, TakeOutcome, Ticker};
 use bouncer_core::obs::{
@@ -25,14 +25,16 @@ use bouncer_core::obs::{
 };
 use bouncer_core::policy::{AdmissionPolicy, RejectReason};
 use bouncer_core::types::{TypeId, TypeRegistry};
-use bouncer_metrics::spsc::{RingProbe, Waker};
+use bouncer_metrics::spsc::{Consumer, RingProbe, Waker};
 use bouncer_metrics::{Clock, Nanos};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::graph::VertexId;
 use crate::query::{Query, QueryKind, RepBatch, RepStatus, SubQuery, SubResponse};
-use crate::rings::{BrokerEngineRig, BrokerRig, LaneReq, LaneSet, ShardPortRings};
+use crate::rings::{
+    BrokerEngineRig, BrokerRig, LaneReq, LaneSet, ShardPortRings, ShardRep, RING_CAP,
+};
 use crate::shard::{ShardHost, SubOutcome};
 use crate::transport::{CancelHandle, ShardClient};
 
@@ -271,6 +273,11 @@ const HEDGE_DELAY_MIN: Nanos = 200_000;
 /// Clamp ceiling: past 5ms a straggler is better served by the sub-query
 /// timeout machinery than by a duplicate.
 const HEDGE_DELAY_MAX: Nanos = 5_000_000;
+/// Nap between polls of a hedge race. Neither transport can block on two
+/// replies at once, so the race polls both replicas; the nap adds latency
+/// well under [`HEDGE_DELAY_MIN`], and a race lives at most one sub-query
+/// timeout.
+const HEDGE_POLL_NAP: Duration = Duration::from_micros(20);
 
 /// Per-engine estimator of the hedge delay: a ring of recent sub-query
 /// batch round-trip latencies whose p95 (clamped to
@@ -346,11 +353,6 @@ pub struct BrokerConfig {
     /// records admission/queue/round/sub-query spans, and finalizes at the
     /// outcome. `None` keeps tracing entirely off the admission path.
     pub tracer: Option<Arc<Tracer>>,
-    /// Coalesce each round's sub-queries to one shard into a single batch
-    /// (one message, one reply channel, one shard admission decision).
-    /// `false` falls back to one message per sub-query — kept for
-    /// batched-vs-unbatched equivalence testing and benchmarking.
-    pub batch_fanout: bool,
 }
 
 impl Default for BrokerConfig {
@@ -363,7 +365,6 @@ impl Default for BrokerConfig {
             query_deadline: None,
             sink: None,
             tracer: None,
-            batch_fanout: true,
         }
     }
 }
@@ -403,6 +404,27 @@ struct RingsFront {
 /// ring returns immediately, so clean shutdown never waits this long.
 const RINGS_CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// The broker's admission gate over the LIquid type registry, plus the
+/// event sink it emits through (shared with the router).
+fn new_gate(
+    policy: &Arc<dyn AdmissionPolicy>,
+    clock: &Arc<dyn Clock>,
+    cfg: &BrokerConfig,
+) -> (Arc<Gate<Job>>, Arc<dyn EventSink>) {
+    let sink = cfg.sink.clone().unwrap_or_else(null_sink);
+    let gate = Gate::new_with_sink(
+        Arc::clone(policy),
+        liquid_registry().len(),
+        Arc::clone(clock),
+        GateConfig {
+            max_queue_len: cfg.max_queue_len,
+            ..GateConfig::default()
+        },
+        Arc::clone(&sink),
+    );
+    (Arc::new(gate), sink)
+}
+
 impl Broker {
     /// Spawns a broker over the given shard connections, gating admissions
     /// with `policy` (the policy under evaluation in §5.4). The flat,
@@ -439,37 +461,23 @@ impl Broker {
             "every logical shard must have the same replica count"
         );
         let n_shards = shard_groups.len();
-        let registry = liquid_registry();
-        let sink = cfg.sink.clone().unwrap_or_else(null_sink);
-        let gate: Arc<Gate<Job>> = Arc::new(Gate::new_with_sink(
-            policy.clone(),
-            registry.len(),
-            clock.clone(),
-            GateConfig {
-                max_queue_len: cfg.max_queue_len,
-                ..GateConfig::default()
-            },
-            sink.clone(),
-        ));
+        let (gate, sink) = new_gate(&policy, &clock, &cfg);
         // Flatten replica-major: physical index `s * R + r`.
         let shards: Vec<Arc<dyn ShardClient>> = shard_groups.into_iter().flatten().collect();
-        let shards = Arc::new(shards);
         let router = Arc::new(Router::new(n_shards, replicas, strategy, sink));
         // A tracer whose sink is disabled behaves as no tracer at all.
         let tracer = cfg.tracer.filter(|t| t.enabled());
         let engines = (0..cfg.engines)
             .map(|i| {
                 let gate = Arc::clone(&gate);
-                let shards = Arc::clone(&shards);
+                let ports: Vec<ChannelPort> =
+                    shards.iter().cloned().map(ChannelPort::new).collect();
                 let router = Arc::clone(&router);
                 let timeout = cfg.subquery_timeout;
                 let tracer = tracer.clone();
-                let batch = cfg.batch_fanout;
                 std::thread::Builder::new()
                     .name(format!("broker-engine{i}"))
-                    .spawn(move || {
-                        engine_loop(&gate, &shards, &router, timeout, batch, tracer.as_deref())
-                    })
+                    .spawn(move || engine_loop(&gate, ports, &router, timeout, tracer.as_deref()))
                     .expect("failed to spawn broker engine")
             })
             .collect();
@@ -527,19 +535,7 @@ impl Broker {
             "ring topology engine count must match BrokerConfig.engines"
         );
         let n_shards = hosts.len() / replicas;
-        let registry = liquid_registry();
-        let sink = cfg.sink.clone().unwrap_or_else(null_sink);
-        let gate: Arc<Gate<Job>> = Arc::new(Gate::new_with_sink(
-            policy.clone(),
-            registry.len(),
-            clock.clone(),
-            GateConfig {
-                max_queue_len: cfg.max_queue_len,
-                ..GateConfig::default()
-            },
-            sink.clone(),
-        ));
-        let hosts = Arc::new(hosts);
+        let (gate, sink) = new_gate(&policy, &clock, &cfg);
         let router = Arc::new(Router::new(n_shards, replicas, strategy, sink));
         let tracer = cfg.tracer.filter(|t| t.enabled());
         let stop = Arc::new(AtomicBool::new(false));
@@ -549,9 +545,15 @@ impl Broker {
             .engines
             .into_iter()
             .enumerate()
-            .map(|(i, engine_rig)| {
+            .map(|(i, mut engine_rig)| {
+                let rings = std::mem::take(&mut engine_rig.ports);
+                assert_eq!(rings.len(), hosts.len(), "one ring port per physical host");
+                let ports: Vec<RingPort> = rings
+                    .into_iter()
+                    .zip(&hosts)
+                    .map(|(rings, host)| RingPort::new(rings, Arc::clone(host)))
+                    .collect();
                 let gate = Arc::clone(&gate);
-                let hosts = Arc::clone(&hosts);
                 let router = Arc::clone(&router);
                 let timeout = cfg.subquery_timeout;
                 let deadline = cfg.query_deadline;
@@ -564,7 +566,7 @@ impl Broker {
                             &gate,
                             i as u32,
                             engine_rig,
-                            &hosts,
+                            ports,
                             &router,
                             timeout,
                             deadline,
@@ -808,58 +810,38 @@ impl Broker {
 
 fn engine_loop(
     gate: &Gate<Job>,
-    shards: &[Arc<dyn ShardClient>],
-    router: &Arc<Router>,
+    ports: Vec<ChannelPort>,
+    router: &Router,
     timeout: Duration,
-    batch: bool,
     tracer: Option<&Tracer>,
 ) {
     // One executor per engine thread: its scratch buffers (sub-query
     // batches, reply accumulators, plan frontiers) live for the thread's
     // lifetime and are reused across queries.
-    let n_shards = shards.len() / router.replicas;
-    let mut exec = Exec::new(
-        Port::Channels(shards),
-        n_shards,
-        router,
-        timeout,
-        batch,
-        gate.clock(),
-    );
+    let mut exec = Exec::new(ports, router, timeout, gate.clock());
     loop {
         match gate.take(Some(Duration::from_millis(100))) {
             TakeOutcome::Query(admitted) => {
-                let (ty, enqueued_at, dequeued_at) =
-                    (admitted.ty, admitted.enqueued_at, admitted.dequeued_at);
                 let Job { query, respond, trace } = admitted.payload;
-                if let Some(mut qt) = trace {
-                    // The admission span covers the gate offer; the queue
-                    // span covers enqueue→engine pickup. Both timestamps
-                    // come from the gate's own bookkeeping.
-                    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
-                    qt.record_child(SpanKind::BrokerQueue, enqueued_at, dequeued_at);
-                    exec.trace = Some(PlanTrace::new(qt, dequeued_at));
-                }
-                let result = execute_plan(&mut exec, query);
-                gate.complete(ty, enqueued_at, dequeued_at);
-                if let Some(pt) = exec.trace.take() {
-                    if let Some(tracer) = tracer {
-                        pt.finish(tracer, plan_status(&result), gate.clock().now());
-                    }
-                }
-                respond.send(plan_outcome(result));
+                // The admission span covers the gate offer; the queue span
+                // covers enqueue→engine pickup. Both timestamps come from
+                // the gate's own bookkeeping.
+                let outcome = serve(
+                    &mut exec,
+                    gate,
+                    tracer,
+                    trace,
+                    query,
+                    admitted.enqueued_at,
+                    admitted.dequeued_at,
+                );
+                respond.send(outcome);
             }
             TakeOutcome::Expired(admitted) => {
                 // Dropped undone: reply with a timeout error immediately.
-                let enqueued_at = admitted.enqueued_at;
                 let Job { respond, trace, .. } = admitted.payload;
-                if let (Some(tracer), Some(mut qt)) = (tracer, trace) {
-                    let now = gate.clock().now();
-                    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
-                    qt.record_child(SpanKind::BrokerQueue, enqueued_at, now);
-                    tracer.finish(qt, SpanStatus::Expired, now);
-                }
-                respond.send(ClientOutcome::Expired);
+                let now = gate.clock().now();
+                respond.send(expire(tracer, trace, admitted.enqueued_at, now));
             }
             TakeOutcome::TimedOut => {}
             TakeOutcome::Closed => return,
@@ -867,19 +849,60 @@ fn engine_loop(
     }
 }
 
+/// Records a query's admission (offer → enqueue) and broker-queue
+/// (enqueue → engine pickup) spans under its trace root.
+fn record_gate_spans(qt: &mut QueryTrace, enqueued_at: Nanos, dequeued_at: Nanos) {
+    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
+    qt.record_child(SpanKind::BrokerQueue, enqueued_at, dequeued_at);
+}
+
+/// The admitted-query body both engine loops share: opens the plan trace
+/// under the gate spans, runs the plan, completes the query at the gate,
+/// finishes the trace and maps the result to the client outcome.
+fn serve<P: ShardPort>(
+    exec: &mut Exec<'_, P>,
+    gate: &Gate<Job>,
+    tracer: Option<&Tracer>,
+    trace: Option<QueryTrace>,
+    query: Query,
+    enqueued_at: Nanos,
+    dequeued_at: Nanos,
+) -> ClientOutcome {
+    if let Some(mut qt) = trace {
+        record_gate_spans(&mut qt, enqueued_at, dequeued_at);
+        exec.trace = Some(PlanTrace::new(qt, dequeued_at));
+    }
+    let result = execute_plan(exec, query);
+    gate.complete(kind_type_id(query.kind), enqueued_at, dequeued_at);
+    if let (Some(pt), Some(tracer)) = (exec.trace.take(), tracer) {
+        pt.finish(tracer, plan_status(&result), gate.clock().now());
+    }
+    match result {
+        Ok(value) => ClientOutcome::Ok(value),
+        Err(PlanError::ShardRejected) => ClientOutcome::ShardRejected,
+        Err(PlanError::ShardFailed) => ClientOutcome::Failed,
+    }
+}
+
+/// Finishes the trace of a query that expired in the queue, undone.
+fn expire(
+    tracer: Option<&Tracer>,
+    trace: Option<QueryTrace>,
+    enqueued_at: Nanos,
+    now: Nanos,
+) -> ClientOutcome {
+    if let (Some(tracer), Some(mut qt)) = (tracer, trace) {
+        record_gate_spans(&mut qt, enqueued_at, now);
+        tracer.finish(qt, SpanStatus::Expired, now);
+    }
+    ClientOutcome::Expired
+}
+
 fn plan_status(result: &Result<u64, PlanError>) -> SpanStatus {
     match result {
         Ok(_) => SpanStatus::Ok,
         Err(PlanError::ShardRejected) => SpanStatus::Rejected,
         Err(PlanError::ShardFailed) => SpanStatus::Failed,
-    }
-}
-
-fn plan_outcome(result: Result<u64, PlanError>) -> ClientOutcome {
-    match result {
-        Ok(value) => ClientOutcome::Ok(value),
-        Err(PlanError::ShardRejected) => ClientOutcome::ShardRejected,
-        Err(PlanError::ShardFailed) => ClientOutcome::Failed,
     }
 }
 
@@ -894,8 +917,8 @@ fn rings_engine_loop(
     gate: &Gate<Job>,
     engine: u32,
     rig: BrokerEngineRig,
-    hosts: &[Arc<ShardHost>],
-    router: &Arc<Router>,
+    ports: Vec<RingPort>,
+    router: &Router,
     timeout: Duration,
     query_deadline: Option<Duration>,
     stop: &AtomicBool,
@@ -904,31 +927,11 @@ fn rings_engine_loop(
     let BrokerEngineRig {
         mut lane_reqs,
         mut lane_reps,
-        ports,
         waker,
+        ..
     } = rig;
     waker.register_current();
-    assert_eq!(ports.len(), hosts.len(), "one ring port per physical shard host");
-    let mut ports: Vec<RingPort> = ports
-        .into_iter()
-        .zip(hosts.iter())
-        .map(|(rings, host)| RingPort {
-            rings,
-            host: Arc::clone(host),
-            poisoned: false,
-        })
-        .collect();
-    let n_shards = ports.len() / router.replicas;
-    // Rings mode is always batched: the ring slot carries the whole
-    // per-shard group.
-    let mut exec = Exec::new(
-        Port::Rings(&mut ports),
-        n_shards,
-        router,
-        timeout,
-        true,
-        gate.clock(),
-    );
+    let mut exec = Exec::new(ports, router, timeout, gate.clock());
     // Flight-recorder breadcrumb state: emit `engine_state` only on
     // park/resume *transitions* (a 1ms park timeout re-park is not one),
     // so an idle cluster leaves two records, not a 1kHz stream.
@@ -948,32 +951,13 @@ fn rings_engine_loop(
             let ty = kind_type_id(query.kind);
             let deadline = query_deadline.map(|d| enqueued_at + d.as_nanos() as u64);
             let (dequeued_at, expired) = gate.dequeued_external(ty, enqueued_at, deadline);
+            // The trace roots engine-side (a QueryTrace cannot cross the
+            // ring); the gate spans are rebuilt from its timestamps.
+            let trace = tracer.map(|t| t.begin(Some(ty), enqueued_at, ctx));
             let outcome = if expired {
-                if let Some(tracer) = tracer {
-                    let mut qt = tracer.begin(Some(ty), enqueued_at, ctx);
-                    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
-                    qt.record_child(SpanKind::BrokerQueue, enqueued_at, dequeued_at);
-                    tracer.finish(qt, SpanStatus::Expired, dequeued_at);
-                }
-                ClientOutcome::Expired
+                expire(tracer, trace, enqueued_at, dequeued_at)
             } else {
-                if let Some(tracer) = tracer {
-                    // The trace roots engine-side (a QueryTrace cannot
-                    // cross the ring); admission + queue spans are rebuilt
-                    // from the gate's timestamps, like channel mode.
-                    let mut qt = tracer.begin(Some(ty), enqueued_at, ctx);
-                    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
-                    qt.record_child(SpanKind::BrokerQueue, enqueued_at, dequeued_at);
-                    exec.trace = Some(PlanTrace::new(qt, dequeued_at));
-                }
-                let result = execute_plan(&mut exec, query);
-                gate.complete(ty, enqueued_at, dequeued_at);
-                if let Some(pt) = exec.trace.take() {
-                    if let Some(tracer) = tracer {
-                        pt.finish(tracer, plan_status(&result), gate.clock().now());
-                    }
-                }
-                plan_outcome(result)
+                serve(&mut exec, gate, tracer, trace, query, enqueued_at, dequeued_at)
             };
             // The lane protocol allows one outstanding request per lane, so
             // the reply slot is always free.
@@ -1002,8 +986,8 @@ fn rings_engine_loop(
 
 /// Emits the `engine_state` park/resume breadcrumb through the gate's
 /// sink (a no-op unless an observing sink — recorder, JSONL — is
-/// attached).
-fn engine_state(gate: &Gate<Job>, engine: u32, parked: bool) {
+/// attached). Shared by the broker and shard engine loops.
+pub(crate) fn engine_state<J>(gate: &Gate<J>, engine: u32, parked: bool) {
     let sink = gate.sink();
     if sink.enabled() {
         sink.emit(&Event::EngineState {
@@ -1150,39 +1134,264 @@ impl PlanTrace {
     }
 }
 
-/// An in-flight sub-query: the outcome channel plus, when tracing, the
-/// sub-query span to close at the wait.
-struct PendingSub {
-    rx: Receiver<SubOutcome>,
-    sub_span: Option<SpanId>,
+/// One engine's handle on one physical shard replica: the transport seam
+/// under [`Exec::run_round`]. A port carries at most one *live* request
+/// (an engine runs one query at a time, and a round sends at most one
+/// group per replica). A request the engine stops waiting for — a
+/// timeout, or the loser of a hedge race — is *abandoned*: the port
+/// cancels it when it can and disposes of its late reply itself.
+trait ShardPort {
+    /// Sends the group staged in `subs` as one shard admission unit;
+    /// `cancellable` lets a later [`ShardPort::abandon`] cancel it before
+    /// the shard executes it. `Ok(true)`: in flight, a reply will follow.
+    /// `Ok(false)`: refused at admission before leaving, `subs` intact.
+    /// `Err`: the port cannot take work right now.
+    fn send(
+        &mut self,
+        subs: &mut Vec<SubQuery>,
+        ctx: Option<TraceContext>,
+        cancellable: bool,
+    ) -> Result<bool, PlanError>;
+
+    /// Waits up to `timeout` for the live request's reply and stages it
+    /// into `resp` (`tags` describe the items, in send order); the
+    /// request's own buffer comes back in `hand_back` where the transport
+    /// returns it. `None`: no reply yet, the request stays live.
+    fn wait(
+        &mut self,
+        timeout: Duration,
+        tags: &[SubTag],
+        resp: &mut RepBatch,
+        hand_back: &mut Vec<SubQuery>,
+    ) -> Option<Result<(), PlanError>>;
+
+    /// [`ShardPort::wait`] without blocking.
+    fn poll(
+        &mut self,
+        tags: &[SubTag],
+        resp: &mut RepBatch,
+        hand_back: &mut Vec<SubQuery>,
+    ) -> Option<Result<(), PlanError>> {
+        self.wait(Duration::ZERO, tags, resp, hand_back)
+    }
+
+    /// Gives up on the live request, if any.
+    fn abandon(&mut self);
 }
 
-/// An in-flight per-shard batch: one channel for the whole group. The
-/// batch's [`SpanKind::SubQuery`] span covers every item it carries.
-struct PendingBatch {
-    rx: Receiver<Vec<SubOutcome>>,
-    n: usize,
-    sub_span: Option<SpanId>,
+/// A channel-mode port over a [`ShardClient`] (in-process or TCP).
+struct ChannelPort {
+    client: Arc<dyn ShardClient>,
+    live: Option<Live>,
 }
 
-/// The transport a plan executor fans out over.
-enum Port<'a> {
-    /// Channel mode: one `ShardClient` per shard (in-process or TCP).
-    Channels(&'a [Arc<dyn ShardClient>]),
-    /// Rings mode: this engine's private SPSC ring pair per shard.
-    Rings(&'a mut [RingPort]),
+/// The reply channel of a [`ChannelPort`]'s live request.
+enum Live {
+    Single(Receiver<SubOutcome>),
+    Batch(Receiver<Vec<SubOutcome>>, CancelHandle),
 }
 
-/// One engine's private ring pair to one shard, plus the shard host handle
-/// used for admission accounting on that shard's gate.
+impl ChannelPort {
+    fn new(client: Arc<dyn ShardClient>) -> Self {
+        Self { client, live: None }
+    }
+}
+
+impl ShardPort for ChannelPort {
+    fn send(
+        &mut self,
+        subs: &mut Vec<SubQuery>,
+        ctx: Option<TraceContext>,
+        cancellable: bool,
+    ) -> Result<bool, PlanError> {
+        self.live = Some(if subs.len() == 1 && !cancellable {
+            // Single-item shortcut: most rounds of the cheap templates
+            // carry one sub-query, and wrapping it in a batch costs a `Vec`
+            // build broker-side and a reply-vector build shard-side. It is
+            // still one admission decision either way.
+            let sub = subs.pop().expect("one staged item");
+            Live::Single(self.client.submit(sub, ctx))
+        } else if cancellable {
+            let (rx, cancel) = self.client.submit_batch_cancellable(std::mem::take(subs), ctx);
+            Live::Batch(rx, cancel)
+        } else {
+            let rx = self.client.submit_batch(std::mem::take(subs), ctx);
+            Live::Batch(rx, CancelHandle::noop())
+        });
+        // Admission refusals come back as the reply.
+        Ok(true)
+    }
+
+    fn wait(
+        &mut self,
+        timeout: Duration,
+        tags: &[SubTag],
+        resp: &mut RepBatch,
+        _hand_back: &mut Vec<SubQuery>,
+    ) -> Option<Result<(), PlanError>> {
+        let staged = match self.live.as_ref()? {
+            Live::Single(rx) => match rx.recv_timeout(timeout) {
+                Ok(outcome) => stage_outcome(resp, tags[0], outcome),
+                Err(RecvTimeoutError::Timeout) => return None,
+                Err(RecvTimeoutError::Disconnected) => Err(PlanError::ShardFailed),
+            },
+            Live::Batch(rx, _) => match rx.recv_timeout(timeout) {
+                // A reply of the wrong width is a protocol violation.
+                Ok(outcomes) if outcomes.len() == tags.len() => outcomes
+                    .into_iter()
+                    .zip(tags)
+                    .try_for_each(|(outcome, &tag)| stage_outcome(resp, tag, outcome)),
+                Err(RecvTimeoutError::Timeout) => return None,
+                Ok(_) | Err(RecvTimeoutError::Disconnected) => Err(PlanError::ShardFailed),
+            },
+        };
+        self.live = None;
+        Some(staged)
+    }
+
+    fn abandon(&mut self) {
+        // Dropping the receiver discards the late reply.
+        if let Some(Live::Batch(_, cancel)) = self.live.take() {
+            cancel.cancel();
+        }
+    }
+}
+
+/// One engine's private ring pair to one shard replica, plus the shard
+/// host handle used for admission accounting on that replica's gate.
+/// Allocation-free: sends and replies swap buffers in and out of the ring
+/// slots.
 struct RingPort {
     rings: ShardPortRings,
     host: Arc<ShardHost>,
-    /// Set when the shard failed to reply within the timeout: the ring
-    /// protocol allows one outstanding request per port, so a port whose
-    /// reply never came can never be trusted again (a late reply would
-    /// correlate with the wrong request).
-    poisoned: bool,
+    /// Whether a sent request still awaits its reply.
+    live: bool,
+    /// The live request's cancel flag, when it was sent cancellable.
+    cancel: Option<Arc<AtomicBool>>,
+    /// Replies still owed to abandoned requests. The rings are FIFO, so
+    /// the next `owed` replies belong to them and are discarded.
+    owed: usize,
+    /// Landing buffers for discarded replies.
+    stale: ShardRep,
+}
+
+impl RingPort {
+    fn new(rings: ShardPortRings, host: Arc<ShardHost>) -> Self {
+        Self {
+            rings,
+            host,
+            live: false,
+            cancel: None,
+            owed: 0,
+            stale: ShardRep::default(),
+        }
+    }
+
+    /// Discards owed replies, waiting for them until `deadline`. `true`
+    /// once none is owed.
+    fn drain_owed(&mut self, deadline: Instant) -> bool {
+        while self.owed > 0 {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let stale = &mut self.stale;
+            if !pop_reply(&mut self.rings.rep, wait, &mut stale.batch, &mut stale.subs) {
+                return false;
+            }
+            stale.batch.clear();
+            stale.subs.clear();
+            self.owed -= 1;
+        }
+        true
+    }
+}
+
+/// Pops one shard reply within `wait`, swapping its batch into `batch`
+/// and the handed-back request buffer into `subs`. `false` when nothing
+/// arrived.
+fn pop_reply(
+    rep: &mut Consumer<ShardRep>,
+    wait: Duration,
+    batch: &mut RepBatch,
+    subs: &mut Vec<SubQuery>,
+) -> bool {
+    rep.pop_wait(wait, |out| {
+        std::mem::swap(&mut out.batch, batch);
+        std::mem::swap(&mut out.subs, subs);
+    })
+    .is_some()
+}
+
+impl ShardPort for RingPort {
+    /// Admits at the replica's gate, then *swaps* the staged vector into
+    /// the ring slot (no copy, no allocation).
+    fn send(
+        &mut self,
+        subs: &mut Vec<SubQuery>,
+        ctx: Option<TraceContext>,
+        cancellable: bool,
+    ) -> Result<bool, PlanError> {
+        if self.owed > 0 {
+            self.drain_owed(Instant::now());
+        }
+        // Every request in flight owes one reply and the reply ring holds
+        // RING_CAP of them: past that the shard could not push an answer.
+        if self.owed >= RING_CAP {
+            return Err(PlanError::ShardFailed);
+        }
+        let Ok(now) = self.host.ring_admit() else {
+            return Ok(false);
+        };
+        let cancel = cancellable.then(|| Arc::new(AtomicBool::new(false)));
+        let planted = cancel.clone();
+        let pushed = self.rings.req.try_push(|slot| {
+            std::mem::swap(&mut slot.subs, subs);
+            slot.enqueued_at = now;
+            slot.ctx = ctx;
+            slot.cancel = planted;
+        });
+        if !pushed {
+            // A full request ring is the shard refusing work at its
+            // (bounded) queue: a full-queue rejection, exactly like the
+            // channel-mode gate.
+            self.host.ring_reject_full(now);
+            return Ok(false);
+        }
+        self.host.ring_enqueued(now, self.rings.req.len());
+        self.live = true;
+        self.cancel = cancel;
+        Ok(true)
+    }
+
+    /// The ring is FIFO: replies owed to abandoned requests come first.
+    fn wait(
+        &mut self,
+        mut timeout: Duration,
+        _tags: &[SubTag],
+        resp: &mut RepBatch,
+        hand_back: &mut Vec<SubQuery>,
+    ) -> Option<Result<(), PlanError>> {
+        if self.owed > 0 {
+            let deadline = Instant::now() + timeout;
+            if !self.drain_owed(deadline) {
+                return None;
+            }
+            timeout = deadline.saturating_duration_since(Instant::now());
+        }
+        if !pop_reply(&mut self.rings.rep, timeout, resp, hand_back) {
+            return None;
+        }
+        self.live = false;
+        self.cancel = None;
+        Some(Ok(()))
+    }
+
+    fn abandon(&mut self) {
+        if std::mem::take(&mut self.live) {
+            self.owed += 1;
+            if let Some(cancel) = self.cancel.take() {
+                cancel.store(true, Ordering::Release);
+            }
+        }
+    }
 }
 
 /// Per-shard read cursors into the round's [`RepBatch`] response.
@@ -1237,22 +1446,15 @@ struct Scratch {
     shard_order: Vec<usize>,
     /// Owning shard per staged item, in staging order.
     slots: Vec<usize>,
-    /// Groups actually sent this round (rings mode), as
+    /// Groups in flight this round, as
     /// `(shard, replica, sub-query span, sent-at)`.
     sent: Vec<(usize, usize, Option<SpanId>, Nanos)>,
     /// Per-engine hedge-delay estimator (hedged strategy only).
     hedge: HedgeDelay,
-    /// Retained copies of each sent group's sub-queries, parallel to
-    /// `sent` (rings hedged mode: the originals are swapped into the
-    /// primary's ring slot, so a later duplicate needs its own buffer).
-    hedge_copies: Vec<Vec<SubQuery>>,
-    /// Cancel flags planted in the primary sends, parallel to `sent`
-    /// (rings hedged mode; flipped when the hedge wins the race).
-    hedge_flags: Vec<Option<Arc<AtomicBool>>>,
-    /// Discard buffers for draining a hedge loser's reply without
-    /// clobbering the winner's response (rings mode).
-    discard_batch: RepBatch,
-    discard_subs: Vec<SubQuery>,
+    /// Per-shard copies of the staged groups (hedged strategy only): the
+    /// originals move into the primary's send, so a duplicate needs its
+    /// own.
+    copies: Vec<Vec<SubQuery>>,
     /// Per-shard responses for the round just run.
     resp: Vec<RepBatch>,
     /// Per-shard read cursors into `resp`.
@@ -1284,6 +1486,7 @@ impl Scratch {
         Self {
             per_shard: (0..n_shards).map(|_| Vec::new()).collect(),
             tags: (0..n_shards).map(|_| Vec::new()).collect(),
+            copies: (0..n_shards).map(|_| Vec::new()).collect(),
             resp: (0..n_shards).map(|_| RepBatch::default()).collect(),
             cur: vec![Cursor::default(); n_shards],
             group_starts: vec![0; n_shards],
@@ -1308,19 +1511,17 @@ impl Scratch {
     }
 }
 
-/// The per-engine plan executor: owns the scratch buffers and the shard
-/// port, runs communication rounds, and exposes cursor-based readers over
-/// the per-shard [`RepBatch`] responses. Replaces the channel-only
-/// `PlanCtx` (whose per-round `Vec<(usize, SubQuery)>` / reassembled
-/// `Vec<SubResponse>` allocations dominated the broker-side profile).
-struct Exec<'a> {
-    port: Port<'a>,
+/// The per-engine plan executor: owns the scratch buffers and one
+/// [`ShardPort`] per physical replica, runs communication rounds, and
+/// exposes cursor-based readers over the per-shard [`RepBatch`]
+/// responses. Generic over the port so the rings path stays
+/// monomorphised, with no dynamic dispatch.
+struct Exec<'a, P> {
+    /// Ports by physical replica, `[s * R + r]`.
+    ports: Vec<P>,
     n_shards: usize,
     router: &'a Router,
     timeout: Duration,
-    /// Coalesce per-shard fan-out into batches (see
-    /// [`BrokerConfig::batch_fanout`]); always `true` in rings mode.
-    batch: bool,
     clock: &'a Arc<dyn Clock>,
     /// The running query's trace, if the broker traces.
     trace: Option<PlanTrace>,
@@ -1384,636 +1585,19 @@ fn stage_outcome(rep: &mut RepBatch, tag: SubTag, outcome: SubOutcome) -> Result
     Ok(())
 }
 
-/// Marks every item staged for shard `s` rejected (the group never reached
-/// the shard) and reclaims the staging buffer.
-fn reject_group(sc: &mut Scratch, s: usize) {
-    for _ in 0..sc.per_shard[s].len() {
-        sc.resp[s].status.push(RepStatus::Rejected);
-    }
-    sc.per_shard[s].clear();
-}
-
-/// Runs one staged round over channel-mode shard clients: fan out every
-/// group (or item, unbatched) before waiting any, then demultiplex the
-/// outcomes into the per-shard [`RepBatch`]es. Every send is routed to a
-/// replica by the broker's [`RouteStrategy`]; at R=1 the routing collapses
-/// to the identity (`phys(s, 0) == s`) and the path is byte-identical to
-/// the pre-replication one.
-fn run_round_channels(
-    sc: &mut Scratch,
-    trace: &mut Option<PlanTrace>,
-    clock: &Arc<dyn Clock>,
-    clients: &[Arc<dyn ShardClient>],
-    router: &Router,
-    timeout: Duration,
-    batch: bool,
-) -> Result<(), PlanError> {
-    if !batch {
-        // The fallback reproduces the pre-batching data path faithfully —
-        // one message and one reply channel per sub-query, each carrying
-        // its own copy of any shared payload (the old `n.clone()` per
-        // `CountIntersect` target) — so the `liquid_datapath` bench
-        // measures an honest before/after. Routing applies per item;
-        // hedging never does (it is a batch-path feature).
-        let mut pendings: Vec<(usize, usize, SubTag, PendingSub)> =
-            Vec::with_capacity(sc.slots.len());
-        for oi in 0..sc.shard_order.len() {
-            let s = sc.shard_order[oi];
-            for idx in 0..sc.per_shard[s].len() {
-                let sub = deep_copy_payload(sc.per_shard[s][idx].clone());
-                let tag = sc.tags[s][idx];
-                let r = router.pick(s);
-                let (ctx, sub_span) = trace_send(trace, clock, s);
-                router.begin(s, r);
-                router.note_routed(clock, s, r);
-                pendings.push((
-                    s,
-                    r,
-                    tag,
-                    PendingSub {
-                        rx: clients[router.phys(s, r)].submit(sub, ctx),
-                        sub_span,
-                    },
-                ));
-            }
-            sc.per_shard[s].clear();
-        }
-        let mut first_err = None;
-        for (s, r, tag, pending) in pendings {
-            let result = pending.rx.recv_timeout(timeout);
-            router.end(s, r);
-            trace_recv(trace, clock, pending.sub_span);
-            match result {
-                Ok(outcome) => {
-                    if let Err(e) = stage_outcome(&mut sc.resp[s], tag, outcome) {
-                        first_err = first_err.or(Some(e));
-                    }
-                }
-                Err(_) => first_err = first_err.or(Some(PlanError::ShardFailed)),
-            }
-        }
-        return match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        };
-    }
-    if sc.slots.len() == 1 && !router.hedging() {
-        // Single-item fast path: most rounds of the cheap templates carry
-        // exactly one sub-query, and wrapping it in a batch costs a `Vec`
-        // build broker-side and a reply-vector build shard-side. Send it
-        // as a plain message instead (still one admission decision either
-        // way, so batched and unbatched stay decision-equivalent). In
-        // hedged mode the round takes the batch path instead, so every
-        // round — single-item included — is hedgeable and cancellable.
-        let s = sc.slots[0];
-        let sub = sc.per_shard[s].pop().expect("one staged item");
-        let tag = sc.tags[s][0];
-        let r = router.pick(s);
-        let (ctx, sub_span) = trace_send(trace, clock, s);
-        router.begin(s, r);
-        router.note_routed(clock, s, r);
-        let rx = clients[router.phys(s, r)].submit(sub, ctx);
-        let result = rx.recv_timeout(timeout);
-        router.end(s, r);
-        trace_recv(trace, clock, sub_span);
-        return match result {
-            Ok(outcome) => stage_outcome(&mut sc.resp[s], tag, outcome),
-            Err(_) => Err(PlanError::ShardFailed),
-        };
-    }
-    if router.hedging() {
-        return run_round_channels_hedged(sc, trace, clock, clients, router, timeout);
-    }
-    // Fan out every group before waiting on any...
-    let mut groups: Vec<(usize, usize, PendingBatch)> = Vec::with_capacity(sc.shard_order.len());
-    for oi in 0..sc.shard_order.len() {
-        let s = sc.shard_order[oi];
-        let subs = std::mem::take(&mut sc.per_shard[s]);
-        let n = subs.len();
-        let r = router.pick(s);
-        let (ctx, sub_span) = trace_send(trace, clock, s);
-        router.begin(s, r);
-        router.note_routed(clock, s, r);
-        groups.push((
-            s,
-            r,
-            PendingBatch {
-                rx: clients[router.phys(s, r)].submit_batch(subs, ctx),
-                n,
-                sub_span,
-            },
-        ));
-    }
-    // ...then gather every group even after an error, so the round's spans
-    // close and no receiver is abandoned mid-flight.
-    let mut first_err = None;
-    for (s, r, pending) in groups {
-        let result = pending.rx.recv_timeout(timeout);
-        router.end(s, r);
-        trace_recv(trace, clock, pending.sub_span);
-        match result {
-            // A reply of the wrong width is a protocol violation.
-            Ok(outcomes) if outcomes.len() == pending.n => {
-                for (idx, outcome) in outcomes.into_iter().enumerate() {
-                    let tag = sc.tags[s][idx];
-                    if let Err(e) = stage_outcome(&mut sc.resp[s], tag, outcome) {
-                        first_err = first_err.or(Some(e));
-                    }
-                }
-            }
-            Ok(_) | Err(_) => first_err = first_err.or(Some(PlanError::ShardFailed)),
-        }
-    }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// An in-flight hedgeable batch: the primary's reply channel and cancel
-/// handle, plus a retained copy of the sub-queries in case the hedge fires.
-struct HedgedPending {
-    s: usize,
-    /// Primary replica the first send went to.
-    r: usize,
-    rx: Receiver<Vec<SubOutcome>>,
-    cancel: CancelHandle,
-    n: usize,
-    sub_span: Option<SpanId>,
-    subs: Vec<SubQuery>,
-    sent_at: Nanos,
-}
-
-/// The hedged batch path: fan out every group to its primary replica
-/// (cancellably), then per group wait up to the engine's quantile hedge
-/// delay; a straggler gets a duplicate on the next replica and the two
-/// race — first reply wins, the loser is cancelled (its queued demand is
-/// refunded at dequeue shard-side) and recorded as a
-/// [`SpanKind::HedgeSubQuery`] loser span.
-fn run_round_channels_hedged(
-    sc: &mut Scratch,
-    trace: &mut Option<PlanTrace>,
-    clock: &Arc<dyn Clock>,
-    clients: &[Arc<dyn ShardClient>],
-    router: &Router,
-    timeout: Duration,
-) -> Result<(), PlanError> {
-    let mut groups: Vec<HedgedPending> = Vec::with_capacity(sc.shard_order.len());
-    for oi in 0..sc.shard_order.len() {
-        let s = sc.shard_order[oi];
-        let subs = std::mem::take(&mut sc.per_shard[s]);
-        let n = subs.len();
-        // The copy is cheap: sub-queries share payloads via `Arc`.
-        let copy = subs.clone();
-        let r = router.pick(s);
-        let (ctx, sub_span) = trace_send(trace, clock, s);
-        let sent_at = clock.now();
-        router.begin(s, r);
-        router.note_routed(clock, s, r);
-        let (rx, cancel) = clients[router.phys(s, r)].submit_batch_cancellable(subs, ctx);
-        groups.push(HedgedPending {
-            s,
-            r,
-            rx,
-            cancel,
-            n,
-            sub_span,
-            subs: copy,
-            sent_at,
-        });
-    }
-    let delay = sc.hedge.current();
-    let first_wait = delay.min(timeout);
-    let mut first_err = None;
-    for pending in groups {
-        let HedgedPending {
-            s,
-            r,
-            rx,
-            cancel,
-            n,
-            sub_span,
-            subs,
-            sent_at,
-        } = pending;
-        let resolution: Result<Vec<SubOutcome>, PlanError> = match rx.recv_timeout(first_wait) {
-            Ok(outcomes) => {
-                // Primary answered inside the hedge delay: no duplicate.
-                router.end(s, r);
-                sc.hedge.record(clock.now().saturating_sub(sent_at));
-                Ok(outcomes)
-            }
-            Err(RecvTimeoutError::Timeout) if first_wait < timeout => race_hedge(
-                sc, trace, clock, clients, router, timeout, s, r, &rx, cancel, subs, sent_at,
-                delay,
-            ),
-            Err(_) => {
-                router.end(s, r);
-                Err(PlanError::ShardFailed)
-            }
-        };
-        trace_recv(trace, clock, sub_span);
-        match resolution {
-            Ok(outcomes) if outcomes.len() == n => {
-                for (idx, outcome) in outcomes.into_iter().enumerate() {
-                    let tag = sc.tags[s][idx];
-                    if let Err(e) = stage_outcome(&mut sc.resp[s], tag, outcome) {
-                        first_err = first_err.or(Some(e));
-                    }
-                }
-            }
-            Ok(_) => first_err = first_err.or(Some(PlanError::ShardFailed)),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// Fires the duplicate for a straggling primary and races the two replies.
-/// Returns the winner's outcomes; the loser is cancelled. The race is
-/// bounded by the full sub-query `timeout` from the hedge fire, so a
-/// hedged group never waits less than an unhedged one would have.
-#[allow(clippy::too_many_arguments)]
-fn race_hedge(
-    sc: &mut Scratch,
-    trace: &mut Option<PlanTrace>,
-    clock: &Arc<dyn Clock>,
-    clients: &[Arc<dyn ShardClient>],
-    router: &Router,
-    timeout: Duration,
-    s: usize,
-    r: usize,
-    primary_rx: &Receiver<Vec<SubOutcome>>,
-    primary_cancel: CancelHandle,
-    subs: Vec<SubQuery>,
-    sent_at: Nanos,
-    delay: Duration,
-) -> Result<Vec<SubOutcome>, PlanError> {
-    let hr = (r + 1) % router.replicas;
-    let fired_at = clock.now();
-    router.begin(s, hr);
-    // The duplicate is untraced (ctx `None`): the loser appears only as the
-    // broker-side `hedge_subquery` span, never as shard-side spans that
-    // would pollute the winner's attribution.
-    let (hedge_rx, hedge_cancel) =
-        clients[router.phys(s, hr)].submit_batch_cancellable(subs, None);
-    router.note_hedge_fired(fired_at, s, r, hr, delay.as_nanos() as Nanos);
-    let mut primary_cancel = Some(primary_cancel);
-    let mut hedge_cancel = Some(hedge_cancel);
-    let mut primary_dead = false;
-    let mut hedge_dead = false;
-    let deadline = fired_at + timeout.as_nanos() as Nanos;
-    loop {
-        if primary_dead && hedge_dead {
-            router.end(s, r);
-            router.end(s, hr);
-            return Err(PlanError::ShardFailed);
-        }
-        let now = clock.now();
-        if now >= deadline {
-            // Nobody answered within the full timeout: cancel both (best
-            // effort) and fail the group like an unhedged timeout would.
-            if let Some(c) = primary_cancel.take() {
-                c.cancel();
-            }
-            if let Some(c) = hedge_cancel.take() {
-                c.cancel();
-            }
-            router.end(s, r);
-            router.end(s, hr);
-            return Err(PlanError::ShardFailed);
-        }
-        // The channel shim has no `select`; poll both replicas instead. The
-        // 20us nap between polls adds latency well under the minimum hedge
-        // delay (200us), and a race lives at most one sub-query timeout.
-        if !primary_dead {
-            match primary_rx.try_recv() {
-                Ok(outcomes) => {
-                    let now = clock.now();
-                    if let Some(c) = hedge_cancel.take() {
-                        c.cancel();
-                    }
-                    router.end(s, r);
-                    router.end(s, hr);
-                    router.note_hedge_cancelled(now, s, hr);
-                    if let Some(pt) = trace.as_mut() {
-                        pt.on_hedge_cancel(s as u16, fired_at, now);
-                    }
-                    sc.hedge.record(now.saturating_sub(sent_at));
-                    return Ok(outcomes);
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => primary_dead = true,
-            }
-        }
-        if !hedge_dead {
-            match hedge_rx.try_recv() {
-                Ok(outcomes) => {
-                    let now = clock.now();
-                    if let Some(c) = primary_cancel.take() {
-                        c.cancel();
-                    }
-                    router.end(s, r);
-                    router.end(s, hr);
-                    router.note_hedge_cancelled(now, s, r);
-                    if let Some(pt) = trace.as_mut() {
-                        pt.on_hedge_cancel(s as u16, sent_at, now);
-                    }
-                    sc.hedge.record(now.saturating_sub(fired_at));
-                    return Ok(outcomes);
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => hedge_dead = true,
-            }
-        }
-        std::thread::sleep(Duration::from_micros(20));
-    }
-}
-
-/// Runs one staged round over this engine's shard rings: per group, admit
-/// at the shard's gate, then *swap* the staged sub-query vector into the
-/// ring slot (no copy, no allocation); per reply, swap the response batch
-/// out and take the hand-back of the staging buffer. Every sent group is
-/// waited for even after an error — the ring protocol's one-outstanding
-/// invariant depends on it.
-fn run_round_rings(
-    sc: &mut Scratch,
-    trace: &mut Option<PlanTrace>,
-    clock: &Arc<dyn Clock>,
-    ports: &mut [RingPort],
-    router: &Router,
-    timeout: Duration,
-) -> Result<(), PlanError> {
-    debug_assert!(sc.sent.is_empty());
-    let hedging = router.hedging();
-    let mut first_err = None;
-    for oi in 0..sc.shard_order.len() {
-        let s = sc.shard_order[oi];
-        let r = router.pick(s);
-        let port = &mut ports[router.phys(s, r)];
-        if port.poisoned {
-            sc.per_shard[s].clear();
-            first_err = first_err.or(Some(PlanError::ShardFailed));
-            continue;
-        }
-        let (ctx, sub_span) = trace_send(trace, clock, s);
-        match port.host.ring_admit() {
-            Ok(now) => {
-                // Hedged: retain a copy of the group (the original buffer
-                // is about to be swapped into the ring slot) and plant a
-                // cancel flag the broker can flip if a duplicate wins.
-                let (copy, flag) = if hedging {
-                    (sc.per_shard[s].clone(), Some(Arc::new(AtomicBool::new(false))))
-                } else {
-                    (Vec::new(), None)
-                };
-                let per_shard = &mut sc.per_shard[s];
-                let planted = flag.clone();
-                let pushed = port.rings.req.try_push(|slot| {
-                    std::mem::swap(&mut slot.subs, per_shard);
-                    slot.enqueued_at = now;
-                    slot.ctx = ctx;
-                    slot.cancel = planted;
-                });
-                if pushed {
-                    port.host.ring_enqueued(now, port.rings.req.len());
-                    router.begin(s, r);
-                    router.note_routed(clock, s, r);
-                    sc.sent.push((s, r, sub_span, now));
-                    if hedging {
-                        sc.hedge_copies.push(copy);
-                        sc.hedge_flags.push(flag);
-                    }
-                } else {
-                    // A full request ring is the shard refusing work at
-                    // its (bounded) queue: account it as a full-queue
-                    // rejection, exactly like the channel-mode gate.
-                    port.host.ring_reject_full(now);
-                    reject_group(sc, s);
-                    trace_recv(trace, clock, sub_span);
-                }
-            }
-            Err(_reason) => {
-                reject_group(sc, s);
-                trace_recv(trace, clock, sub_span);
-            }
-        }
-    }
-    let delay = if hedging { sc.hedge.current() } else { Duration::ZERO };
-    for si in 0..sc.sent.len() {
-        let (s, r, sub_span, sent_at) = sc.sent[si];
-        let p = router.phys(s, r);
-        if !hedging {
-            let port = &mut ports[p];
-            let resp = &mut sc.resp[s];
-            let hand_back = &mut sc.per_shard[s];
-            let popped = port.rings.rep.pop_wait(timeout, |out| {
-                std::mem::swap(&mut out.batch, resp);
-                std::mem::swap(&mut out.subs, hand_back);
-            });
-            router.end(s, r);
-            trace_recv(trace, clock, sub_span);
-            if popped.is_none() {
-                port.poisoned = true;
-                first_err = first_err.or(Some(PlanError::ShardFailed));
-            }
-            // Drop the handed-back sub-queries now (releasing their payload
-            // `Arc`s back to the pool deterministically) but keep the buffer.
-            sc.per_shard[s].clear();
-            continue;
-        }
-        // Hedged wait: give the primary the quantile delay first.
-        let first_wait = delay.min(timeout);
-        let popped = {
-            let resp = &mut sc.resp[s];
-            let hand_back = &mut sc.per_shard[s];
-            ports[p].rings.rep.pop_wait(first_wait, |out| {
-                std::mem::swap(&mut out.batch, resp);
-                std::mem::swap(&mut out.subs, hand_back);
-            })
-        };
-        if popped.is_some() {
-            router.end(s, r);
-            sc.hedge.record(clock.now().saturating_sub(sent_at));
-            trace_recv(trace, clock, sub_span);
-            sc.per_shard[s].clear();
-            continue;
-        }
-        // Straggler: try to fire the duplicate on the next replica's own
-        // ring port, charging *its* gate (incremental demand).
-        let hr = (r + 1) % router.replicas;
-        let hp = router.phys(s, hr);
-        let mut fired_at = 0;
-        let mut hedge_flag: Option<Arc<AtomicBool>> = None;
-        if first_wait < timeout && !ports[hp].poisoned {
-            if let Ok(now) = ports[hp].host.ring_admit() {
-                let flag = Arc::new(AtomicBool::new(false));
-                let copy = &mut sc.hedge_copies[si];
-                let planted = Some(Arc::clone(&flag));
-                let pushed = ports[hp].rings.req.try_push(|slot| {
-                    std::mem::swap(&mut slot.subs, copy);
-                    slot.enqueued_at = now;
-                    slot.ctx = None;
-                    slot.cancel = planted;
-                });
-                if pushed {
-                    ports[hp].host.ring_enqueued(now, ports[hp].rings.req.len());
-                    router.begin(s, hr);
-                    router.note_hedge_fired(now, s, r, hr, delay.as_nanos() as Nanos);
-                    fired_at = now;
-                    hedge_flag = Some(flag);
-                } else {
-                    ports[hp].host.ring_reject_full(now);
-                }
-            }
-        }
-        let Some(hedge_flag) = hedge_flag else {
-            // Couldn't hedge (admission refused / ring full / poisoned):
-            // keep waiting on the primary like an unhedged round.
-            let popped = {
-                let resp = &mut sc.resp[s];
-                let hand_back = &mut sc.per_shard[s];
-                ports[p].rings.rep.pop_wait(timeout, |out| {
-                    std::mem::swap(&mut out.batch, resp);
-                    std::mem::swap(&mut out.subs, hand_back);
-                })
-            };
-            router.end(s, r);
-            trace_recv(trace, clock, sub_span);
-            if popped.is_none() {
-                ports[p].poisoned = true;
-                first_err = first_err.or(Some(PlanError::ShardFailed));
-            }
-            sc.per_shard[s].clear();
-            continue;
-        };
-        // Race: busy-poll both reply rings (the engine owns both ports, so
-        // a blocking wait on one could miss the other's earlier reply).
-        let deadline = fired_at + timeout.as_nanos() as Nanos;
-        // 0 = pending, 1 = primary won, 2 = hedge won, 3 = timeout.
-        let mut outcome = 0u8;
-        while outcome == 0 {
-            let got = {
-                let resp = &mut sc.resp[s];
-                let hand_back = &mut sc.per_shard[s];
-                ports[p].rings.rep.try_pop(|out| {
-                    std::mem::swap(&mut out.batch, resp);
-                    std::mem::swap(&mut out.subs, hand_back);
-                })
-            };
-            if got.is_some() {
-                outcome = 1;
-                break;
-            }
-            let got = {
-                let resp = &mut sc.resp[s];
-                let hand_back = &mut sc.hedge_copies[si];
-                ports[hp].rings.rep.try_pop(|out| {
-                    std::mem::swap(&mut out.batch, resp);
-                    std::mem::swap(&mut out.subs, hand_back);
-                })
-            };
-            if got.is_some() {
-                outcome = 2;
-                break;
-            }
-            if clock.now() >= deadline {
-                outcome = 3;
-                break;
-            }
-            std::thread::yield_now();
-        }
-        match outcome {
-            1 => {
-                // Primary won: cancel the duplicate, then drain its reply
-                // (the one-outstanding ring invariant requires it; a
-                // cancelled-at-dequeue loser answers immediately).
-                let now = clock.now();
-                hedge_flag.store(true, Ordering::Release);
-                router.note_hedge_cancelled(now, s, hr);
-                if let Some(pt) = trace.as_mut() {
-                    pt.on_hedge_cancel(s as u16, fired_at, now);
-                }
-                sc.hedge.record(now.saturating_sub(sent_at));
-                let drained = {
-                    let batch = &mut sc.discard_batch;
-                    let subs = &mut sc.discard_subs;
-                    ports[hp].rings.rep.pop_wait(timeout, |out| {
-                        std::mem::swap(&mut out.batch, batch);
-                        std::mem::swap(&mut out.subs, subs);
-                    })
-                };
-                sc.discard_batch.clear();
-                sc.discard_subs.clear();
-                if drained.is_none() {
-                    ports[hp].poisoned = true;
-                }
-            }
-            2 => {
-                // Hedge won: flip the primary's planted flag and drain it.
-                let now = clock.now();
-                if let Some(flag) = sc.hedge_flags[si].as_ref() {
-                    flag.store(true, Ordering::Release);
-                }
-                router.note_hedge_cancelled(now, s, r);
-                if let Some(pt) = trace.as_mut() {
-                    pt.on_hedge_cancel(s as u16, sent_at, now);
-                }
-                sc.hedge.record(now.saturating_sub(fired_at));
-                let drained = {
-                    let batch = &mut sc.discard_batch;
-                    let subs = &mut sc.discard_subs;
-                    ports[p].rings.rep.pop_wait(timeout, |out| {
-                        std::mem::swap(&mut out.batch, batch);
-                        std::mem::swap(&mut out.subs, subs);
-                    })
-                };
-                sc.discard_batch.clear();
-                sc.discard_subs.clear();
-                if drained.is_none() {
-                    ports[p].poisoned = true;
-                }
-            }
-            _ => {
-                // Neither replied within the timeout: both ports have an
-                // outstanding request and can never be trusted again.
-                ports[p].poisoned = true;
-                ports[hp].poisoned = true;
-                first_err = first_err.or(Some(PlanError::ShardFailed));
-            }
-        }
-        router.end(s, r);
-        router.end(s, hr);
-        trace_recv(trace, clock, sub_span);
-        sc.per_shard[s].clear();
-    }
-    sc.sent.clear();
-    sc.hedge_copies.clear();
-    sc.hedge_flags.clear();
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-impl<'a> Exec<'a> {
+impl<'a, P: ShardPort> Exec<'a, P> {
     fn new(
-        port: Port<'a>,
-        n_shards: usize,
+        ports: Vec<P>,
         router: &'a Router,
         timeout: Duration,
-        batch: bool,
         clock: &'a Arc<dyn Clock>,
     ) -> Self {
+        let n_shards = ports.len() / router.replicas;
         Self {
-            port,
+            ports,
             n_shards,
             router,
             timeout,
-            batch,
             clock,
             trace: None,
             scratch: Scratch::new(n_shards),
@@ -2047,35 +1631,69 @@ impl<'a> Exec<'a> {
         sc.slots.push(s);
     }
 
-    /// Runs the staged round: fans out per-shard groups over the port,
-    /// waits every reply, then scans the per-item statuses **in staging
-    /// order** — the first rejection (or error) wins, matching the old
-    /// reassembly order exactly. On `Ok`, the responses are readable via
-    /// [`Exec::next_list`] / [`Exec::next_count`] / [`Exec::next_scalar`].
+    /// Runs the staged round on every transport: fans each per-shard group
+    /// out to a replica picked by the broker's [`RouteStrategy`] before
+    /// waiting on any, waits every group (hedging stragglers, see
+    /// [`Exec::await_group`]), then scans the per-item statuses **in
+    /// staging order** — the first rejection (or error) wins. On `Ok`, the
+    /// responses are readable via [`Exec::next_list`] /
+    /// [`Exec::next_count`] / [`Exec::next_scalar`]. At R=1 routing
+    /// collapses to the identity (`phys(s, 0) == s`).
     fn run_round(&mut self) -> Result<(), PlanError> {
-        for oi in 0..self.scratch.shard_order.len() {
-            let s = self.scratch.shard_order[oi];
-            self.scratch.resp[s].clear();
-            self.scratch.cur[s] = Cursor::default();
+        let (router, clock) = (self.router, self.clock);
+        let hedging = router.hedging();
+        let sc = &mut self.scratch;
+        debug_assert!(sc.sent.is_empty());
+        let mut first_err = None;
+        for oi in 0..sc.shard_order.len() {
+            let s = sc.shard_order[oi];
+            sc.resp[s].clear();
+            sc.cur[s] = Cursor::default();
+            if hedging {
+                // The copy is cheap: sub-queries share payloads via `Arc`.
+                sc.copies[s].clone_from(&sc.per_shard[s]);
+            }
+            let r = router.pick(s);
+            let (ctx, sub_span) = trace_send(&mut self.trace, clock, s);
+            let sent_at = if hedging { clock.now() } else { 0 };
+            match self.ports[router.phys(s, r)].send(&mut sc.per_shard[s], ctx, hedging) {
+                Ok(true) => {
+                    router.begin(s, r);
+                    router.note_routed(clock, s, r);
+                    sc.sent.push((s, r, sub_span, sent_at));
+                    continue;
+                }
+                // Refused before leaving: every item is rejected.
+                Ok(false) => {
+                    let n = sc.per_shard[s].len();
+                    sc.resp[s].status.resize(n, RepStatus::Rejected);
+                    sc.per_shard[s].clear();
+                }
+                Err(e) => {
+                    sc.per_shard[s].clear();
+                    first_err = first_err.or(Some(e));
+                }
+            }
+            trace_recv(&mut self.trace, clock, sub_span);
         }
-        match &mut self.port {
-            Port::Channels(clients) => run_round_channels(
-                &mut self.scratch,
-                &mut self.trace,
-                self.clock,
-                clients,
-                self.router,
-                self.timeout,
-                self.batch,
-            )?,
-            Port::Rings(ports) => run_round_rings(
-                &mut self.scratch,
-                &mut self.trace,
-                self.clock,
-                ports,
-                self.router,
-                self.timeout,
-            )?,
+        // Gather every group even after an error, so the round's spans
+        // close and every port's request resolves.
+        let delay = if hedging { sc.hedge.current() } else { self.timeout };
+        for si in 0..self.scratch.sent.len() {
+            let (s, r, sub_span, sent_at) = self.scratch.sent[si];
+            if let Err(e) = self.await_group(s, r, sent_at, delay) {
+                first_err = first_err.or(Some(e));
+            }
+            trace_recv(&mut self.trace, clock, sub_span);
+            // Drop the handed-back sub-queries now (releasing their payload
+            // `Arc`s back to the pool deterministically) but keep the
+            // buffers.
+            self.scratch.per_shard[s].clear();
+            self.scratch.copies[s].clear();
+        }
+        self.scratch.sent.clear();
+        if let Some(e) = first_err {
+            return Err(e);
         }
         let sc = &mut self.scratch;
         for ii in 0..sc.slots.len() {
@@ -2092,6 +1710,103 @@ impl<'a> Exec<'a> {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Waits for shard `s`'s group, sent to replica `r` at `sent_at`.
+    /// Unhedged, that is one wait of the sub-query timeout. Hedged, the
+    /// primary gets `delay` (the engine's quantile hedge delay) first; a
+    /// straggler gets a duplicate on replica `(r + 1) % R` and the two
+    /// race: the first reply wins, the loser is abandoned (cancelled, so
+    /// a loser still queued refunds its demand at dequeue) and recorded as
+    /// a [`SpanKind::HedgeSubQuery`] span. The race is bounded by the full
+    /// timeout from the hedge fire, so a hedged group never waits less
+    /// than an unhedged one would have.
+    fn await_group(
+        &mut self,
+        s: usize,
+        r: usize,
+        sent_at: Nanos,
+        delay: Duration,
+    ) -> Result<(), PlanError> {
+        let (router, clock, timeout) = (self.router, self.clock, self.timeout);
+        let sc = &mut self.scratch;
+        let p = router.phys(s, r);
+        let first_wait = delay.min(timeout);
+        let (tags, resp) = (&sc.tags[s], &mut sc.resp[s]);
+        if let Some(got) = self.ports[p].wait(first_wait, tags, resp, &mut sc.per_shard[s]) {
+            router.end(s, r);
+            if got.is_ok() && router.hedging() {
+                sc.hedge.record(clock.now().saturating_sub(sent_at));
+            }
+            return got;
+        }
+        let hr = (r + 1) % router.replicas;
+        let hp = router.phys(s, hr);
+        let fired_at = clock.now();
+        // The duplicate is untraced (ctx `None`): the loser appears only as
+        // the broker-side span, never as shard-side spans that would
+        // pollute the winner's attribution.
+        let hedged =
+            first_wait < timeout && self.ports[hp].send(&mut sc.copies[s], None, true) == Ok(true);
+        if !hedged {
+            // Timed out unhedged, or the duplicate could not go out: keep
+            // waiting on the primary like an unhedged group.
+            let got = if first_wait < timeout {
+                self.ports[p].wait(timeout, &sc.tags[s], &mut sc.resp[s], &mut sc.per_shard[s])
+            } else {
+                None
+            };
+            router.end(s, r);
+            return got.unwrap_or_else(|| {
+                self.ports[p].abandon();
+                Err(PlanError::ShardFailed)
+            });
+        }
+        router.begin(s, hr);
+        router.note_hedge_fired(fired_at, s, r, hr, delay.as_nanos() as Nanos);
+        let deadline = fired_at + timeout.as_nanos() as Nanos;
+        let racers = [(p, r, sent_at), (hp, hr, fired_at)];
+        let mut racing = [true, true];
+        let winner = 'race: loop {
+            for (i, &(phys, _, _)) in racers.iter().enumerate() {
+                if !racing[i] {
+                    continue;
+                }
+                // Each racer hands its request buffer back to where it
+                // was sent from.
+                let hand_back = if i == 0 { &mut sc.per_shard[s] } else { &mut sc.copies[s] };
+                match self.ports[phys].poll(&sc.tags[s], &mut sc.resp[s], hand_back) {
+                    Some(Ok(())) => break 'race Some(i),
+                    Some(Err(_)) => {
+                        racing[i] = false;
+                        sc.resp[s].clear();
+                    }
+                    None => {}
+                }
+            }
+            if racing == [false, false] || clock.now() >= deadline {
+                break None;
+            }
+            std::thread::sleep(HEDGE_POLL_NAP);
+        };
+        router.end(s, r);
+        router.end(s, hr);
+        let Some(w) = winner else {
+            // Nobody answered within the full timeout: fail the group like
+            // an unhedged timeout would.
+            self.ports[p].abandon();
+            self.ports[hp].abandon();
+            return Err(PlanError::ShardFailed);
+        };
+        let (loser, loser_r, loser_sent) = racers[1 - w];
+        let now = clock.now();
+        self.ports[loser].abandon();
+        router.note_hedge_cancelled(now, s, loser_r);
+        if let Some(pt) = self.trace.as_mut() {
+            pt.on_hedge_cancel(s as u16, loser_sent, now);
+        }
+        sc.hedge.record(now.saturating_sub(racers[w].2));
         Ok(())
     }
 
@@ -2124,31 +1839,19 @@ impl<'a> Exec<'a> {
             .ok_or(PlanError::ShardFailed)
     }
 
-    fn degree(&mut self, v: VertexId) -> Result<u64, PlanError> {
+    /// Runs a one-item round to `v`'s owning shard and returns that shard
+    /// `s`; the answer is readable (borrowed from the response buffer, no
+    /// copy) via the matching `next_*(s)` reader.
+    fn one_round(&mut self, v: VertexId, sub: SubQuery) -> Result<usize, PlanError> {
         let s = self.shard_of(v);
         self.round_begin();
-        self.stage(s, SubQuery::Degree(v));
-        self.run_round()?;
-        Ok(self.next_count(s)? as u64)
-    }
-
-    fn has_edge(&mut self, u: VertexId, v: VertexId) -> Result<bool, PlanError> {
-        let s = self.shard_of(u);
-        self.round_begin();
-        self.stage(s, SubQuery::HasEdge(u, v));
-        self.run_round()?;
-        Ok(self.next_scalar(s)? != 0)
-    }
-
-    /// Runs a one-vertex `Neighbors` round; the list is readable (borrowed
-    /// from the response buffer, no copy) via `next_list(s)` for the
-    /// returned shard `s`.
-    fn neighbors_round(&mut self, v: VertexId) -> Result<usize, PlanError> {
-        let s = self.shard_of(v);
-        self.round_begin();
-        self.stage(s, SubQuery::Neighbors(v));
+        self.stage(s, sub);
         self.run_round()?;
         Ok(s)
+    }
+
+    fn neighbors_round(&mut self, v: VertexId) -> Result<usize, PlanError> {
+        self.one_round(v, SubQuery::Neighbors(v))
     }
 
     /// `Neighbors` round with the list copied into a caller buffer (for
@@ -2197,20 +1900,9 @@ impl<'a> Exec<'a> {
         self.round_begin();
         self.stage_many(frontier, SubTag::NeighborsMany);
         self.run_round()?;
-        let batched = self.batch;
         for &v in frontier {
             let s = self.shard_of(v);
-            let list = self.next_list(s)?;
-            if batched {
-                each(list);
-            } else {
-                // The pre-batching response format carried one `Vec` per
-                // frontier vertex; the fallback re-materializes that
-                // per-vertex allocation so the datapath bench's "before"
-                // keeps the old allocation profile.
-                let owned = list.to_vec();
-                each(&owned);
-            }
+            each(self.next_list(s)?);
         }
         Ok(())
     }
@@ -2276,22 +1968,16 @@ impl<'a> Exec<'a> {
     }
 }
 
-/// Replaces a shared (`Arc`) payload with a freshly-allocated copy. The
-/// unbatched fallback sends this instead of sharing, reproducing the
-/// per-sub-query payload clones of the pre-batching data path.
-fn deep_copy_payload(sub: SubQuery) -> SubQuery {
-    match sub {
-        SubQuery::NeighborsMany(ids) => SubQuery::NeighborsMany(Arc::new(ids.to_vec())),
-        SubQuery::DegreeMany(ids) => SubQuery::DegreeMany(Arc::new(ids.to_vec())),
-        SubQuery::CountIntersect(v, ids) => SubQuery::CountIntersect(v, Arc::new(ids.to_vec())),
-        other => other,
-    }
-}
-
-fn execute_plan(exec: &mut Exec<'_>, q: Query) -> Result<u64, PlanError> {
+fn execute_plan<P: ShardPort>(exec: &mut Exec<'_, P>, q: Query) -> Result<u64, PlanError> {
     match q.kind {
-        QueryKind::Qt1Degree => exec.degree(q.u),
-        QueryKind::Qt2EdgeExists => Ok(exec.has_edge(q.u, q.v)? as u64),
+        QueryKind::Qt1Degree => {
+            let s = exec.one_round(q.u, SubQuery::Degree(q.u))?;
+            Ok(exec.next_count(s)? as u64)
+        }
+        QueryKind::Qt2EdgeExists => {
+            let s = exec.one_round(q.u, SubQuery::HasEdge(q.u, q.v))?;
+            Ok((exec.next_scalar(s)? != 0) as u64)
+        }
         QueryKind::Qt3NeighborsPage => {
             let s = exec.neighbors_round(q.u)?;
             let n = exec.next_list(s)?;
@@ -2424,8 +2110,8 @@ fn execute_plan(exec: &mut Exec<'_>, q: Query) -> Result<u64, PlanError> {
 
 /// Bounded breadth-first distance search: one communication round per hop,
 /// exactly the multi-round broker/shard interaction of §5.1.
-fn bfs_distance(
-    exec: &mut Exec<'_>,
+fn bfs_distance<P: ShardPort>(
+    exec: &mut Exec<'_, P>,
     from: VertexId,
     to: VertexId,
     max_hops: u32,

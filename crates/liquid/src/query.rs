@@ -112,14 +112,6 @@ impl Query {
     }
 }
 
-/// Result of a client query, reduced to a scalar (count, distance, flag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryResult {
-    /// The scalar answer. For distance queries, `u64::MAX` means
-    /// "unreachable within the hop bound".
-    pub value: u64,
-}
-
 /// A sub-query a broker sends to one shard. Batched forms (`*Many`) carry
 /// every vertex of the round's frontier owned by that shard.
 ///

@@ -316,6 +316,132 @@ pub(crate) fn build_topology(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    use bouncer_core::policy::{AdmissionPolicy, AlwaysAccept, Decision};
+    use bouncer_core::types::TypeId;
+    use bouncer_metrics::{Clock, MonotonicClock};
+
+    use crate::broker::{Broker, BrokerConfig, RouteStrategy};
+    use crate::graph::{Graph, GraphConfig};
+    use crate::shard::{ShardConfig, ShardHost};
+
+    /// Admits everything, and sleeps in `on_dequeued` — on the shard
+    /// engine, before it executes — for its first `naps` dequeues.
+    struct Sleepy {
+        naps: AtomicUsize,
+        nap: Duration,
+    }
+
+    impl AdmissionPolicy for Sleepy {
+        fn name(&self) -> &str {
+            "sleepy"
+        }
+        fn admit(&self, _ty: TypeId, _now: Nanos) -> Decision {
+            Decision::Accept
+        }
+        fn on_dequeued(&self, _ty: TypeId, _wait: Nanos, _now: Nanos) {
+            let left = self.naps.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                n.checked_sub(1)
+            });
+            if left.is_ok() {
+                std::thread::sleep(self.nap);
+            }
+        }
+    }
+
+    fn sleepy(naps: usize, nap_ms: u64) -> Arc<dyn AdmissionPolicy> {
+        Arc::new(Sleepy {
+            naps: AtomicUsize::new(naps),
+            nap: Duration::from_millis(nap_ms),
+        })
+    }
+
+    /// A rings cluster of one single-engine broker over one logical shard
+    /// with one single-engine replica per policy, so every query reuses
+    /// the same engine→replica ports.
+    fn one_port_cluster(
+        policies: Vec<Arc<dyn AdmissionPolicy>>,
+        strategy: RouteStrategy,
+        subquery_timeout: Duration,
+    ) -> (Graph, Arc<Broker>, Vec<Arc<ShardHost>>) {
+        let g = Graph::generate(&GraphConfig {
+            vertices: 500,
+            edges_per_vertex: 3,
+            seed: 9,
+        });
+        let data = Arc::new(g.shard_slice(0, 1));
+        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
+        let replicas = policies.len();
+        let (mut brokers, shards) = build_topology(1, 1, 1, 1, replicas);
+        let hosts: Vec<Arc<ShardHost>> = shards
+            .into_iter()
+            .zip(policies)
+            .map(|(rig, policy)| {
+                let cfg = ShardConfig {
+                    engines: 1,
+                    ..ShardConfig::default()
+                };
+                ShardHost::spawn_rings(Arc::clone(&data), policy, Arc::clone(&clock), cfg, rig)
+            })
+            .collect();
+        let cfg = BrokerConfig {
+            engines: 1,
+            subquery_timeout,
+            ..BrokerConfig::default()
+        };
+        let policy = Arc::new(AlwaysAccept::new());
+        let rig = brokers.remove(0);
+        let broker =
+            Broker::spawn_rings(hosts.clone(), replicas, strategy, policy, clock, cfg, rig);
+        (g, broker, hosts)
+    }
+
+    fn degree(u: u32) -> Query {
+        Query {
+            kind: QueryKind::Qt1Degree,
+            u,
+            v: 0,
+        }
+    }
+
+    #[test]
+    fn ring_port_recovers_after_a_reply_misses_the_timeout() {
+        let policies = vec![sleepy(1, 60)];
+        let timeout = Duration::from_millis(20);
+        let (g, broker, hosts) = one_port_cluster(policies, RouteStrategy::PrimaryOnly, timeout);
+        assert_eq!(broker.execute(degree(1)), ClientOutcome::Failed);
+        // Let the late reply land: the port discards it at its next use
+        // instead of matching it to a later request.
+        std::thread::sleep(Duration::from_millis(100));
+        for u in 0..25 {
+            let want = ClientOutcome::Ok(g.degree(u) as u64);
+            assert_eq!(broker.execute(degree(u)), want, "query {u} after the timeout");
+        }
+        broker.shutdown();
+        hosts.iter().for_each(|h| h.shutdown());
+    }
+
+    #[test]
+    fn rings_hedging_masks_a_straggling_primary() {
+        // Replica 0 is the shard's primary and naps on every dequeue.
+        let policies = vec![sleepy(usize::MAX, 10), Arc::new(AlwaysAccept::new()) as _];
+        let timeout = Duration::from_secs(2);
+        let (g, broker, hosts) = one_port_cluster(policies, RouteStrategy::Hedged, timeout);
+        for u in 0..20 {
+            let want = ClientOutcome::Ok(g.degree(u) as u64);
+            assert_eq!(broker.execute(degree(u)), want, "u={u}");
+            // Pace past the nap so abandoned losers drain from the
+            // primary's port instead of piling up to its cap.
+            std::thread::sleep(Duration::from_millis(15));
+        }
+        let hc = broker.hedge_counters();
+        assert!(hc.hedges >= 20, "expected a hedge per query, got {hc:?}");
+        assert!(hc.cancels >= 20, "every hedge resolves by cancelling: {hc:?}");
+        broker.shutdown();
+        hosts.iter().for_each(|h| h.shutdown());
+    }
 
     #[test]
     fn topology_shapes_match_engine_counts() {

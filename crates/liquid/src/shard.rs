@@ -13,7 +13,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bouncer_core::framework::{Gate, GateConfig, ServerStats, TakeOutcome, Ticker};
-use bouncer_core::obs::{null_sink, Event, EventSink, SpanKind, TraceContext, Tracer};
+use bouncer_core::obs::{null_sink, EventSink, SpanKind, TraceContext, Tracer};
 use bouncer_core::policy::{AdmissionPolicy, RejectReason};
 use bouncer_core::types::DEFAULT_TYPE;
 use bouncer_metrics::spsc::Waker;
@@ -21,6 +21,7 @@ use bouncer_metrics::{Clock, Nanos};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
+use crate::broker::engine_state;
 use crate::graph::{self, ShardData};
 use crate::query::{IdLists, RepBatch, RepStatus, SubQuery, SubResponse};
 use crate::rings::{ShardEngineRig, ShardRig};
@@ -64,15 +65,15 @@ enum Job {
 }
 
 impl Job {
-    /// Delivers the admission-rejection outcome (the early error response
-    /// of §2): per-item `Rejected` for a batch.
-    fn reject(self) {
+    /// Answers without executing: `Rejected` is the early error response
+    /// of §2, `Error` the answer to expired work. Per item for a batch.
+    fn answer_all(self, outcome: SubOutcome) {
         match self {
             Job::Single { reply, .. } => {
-                let _ = reply.send(SubOutcome::Rejected);
+                let _ = reply.send(outcome);
             }
             Job::Batch { subs, reply, .. } => {
-                let _ = reply.send(vec![SubOutcome::Rejected; subs.len()]);
+                let _ = reply.send(vec![outcome; subs.len()]);
             }
         }
     }
@@ -267,7 +268,7 @@ impl ShardHost {
             .gate
             .offer(DEFAULT_TYPE, Job::Single { sub, reply: tx, ctx })
         {
-            job.reject();
+            job.answer_all(SubOutcome::Rejected);
         }
         rx
     }
@@ -325,7 +326,7 @@ impl ShardHost {
                 cancel,
             },
         ) {
-            job.reject();
+            job.answer_all(SubOutcome::Rejected);
         }
         rx
     }
@@ -372,31 +373,40 @@ impl ShardHost {
     }
 }
 
+/// Emits a sampled request's `shard_queue` / `shard_service` span pair.
+/// Eager, before the reply, so the broker never finalizes a trace whose
+/// shard spans are still in flight. A batch gets one pair, matching its
+/// one admission unit.
+fn emit_spans(
+    tracer: Option<&Tracer>,
+    gate: &Gate<Job>,
+    shard: u16,
+    ctx: Option<TraceContext>,
+    enqueued_at: Nanos,
+    dequeued_at: Nanos,
+) {
+    if let (Some(tracer), Some(ctx)) = (tracer, ctx) {
+        if ctx.sampled {
+            tracer.emit_span(
+                ctx.trace,
+                SpanKind::ShardQueue { shard },
+                ctx.parent,
+                enqueued_at,
+                dequeued_at,
+            );
+            tracer.emit_span(
+                ctx.trace,
+                SpanKind::ShardService { shard },
+                ctx.parent,
+                dequeued_at,
+                gate.clock().now(),
+            );
+        }
+    }
+}
+
 fn engine_loop(gate: &Gate<Job>, data: &ShardData, tracer: Option<&Tracer>) {
     let shard = data.shard() as u16;
-    // Eager span emission, before the reply, so the broker never finalizes
-    // a trace whose shard spans are still in flight. A batch gets one
-    // queue/service span pair, matching its one FIFO entry.
-    let emit_spans = |ctx: Option<TraceContext>, enqueued_at: u64, dequeued_at: u64| {
-        if let (Some(tracer), Some(ctx)) = (tracer, ctx) {
-            if ctx.sampled {
-                tracer.emit_span(
-                    ctx.trace,
-                    SpanKind::ShardQueue { shard },
-                    ctx.parent,
-                    enqueued_at,
-                    dequeued_at,
-                );
-                tracer.emit_span(
-                    ctx.trace,
-                    SpanKind::ShardService { shard },
-                    ctx.parent,
-                    dequeued_at,
-                    gate.clock().now(),
-                );
-            }
-        }
-    };
     loop {
         match gate.take(Some(Duration::from_millis(100))) {
             TakeOutcome::Query(admitted) => {
@@ -409,7 +419,7 @@ fn engine_loop(gate: &Gate<Job>, data: &ShardData, tracer: Option<&Tracer>) {
                             None => SubOutcome::Error,
                         };
                         gate.complete(ty, enqueued_at, dequeued_at);
-                        emit_spans(ctx, enqueued_at, dequeued_at);
+                        emit_spans(tracer, gate, shard, ctx, enqueued_at, dequeued_at);
                         let _ = reply.send(outcome);
                     }
                     Job::Batch {
@@ -436,7 +446,7 @@ fn engine_loop(gate: &Gate<Job>, data: &ShardData, tracer: Option<&Tracer>) {
                             })
                             .collect();
                         gate.complete(ty, enqueued_at, dequeued_at);
-                        emit_spans(ctx, enqueued_at, dequeued_at);
+                        emit_spans(tracer, gate, shard, ctx, enqueued_at, dequeued_at);
                         let _ = reply.send(outcomes);
                     }
                 }
@@ -445,14 +455,7 @@ fn engine_loop(gate: &Gate<Job>, data: &ShardData, tracer: Option<&Tracer>) {
                 // Shards do not currently set sub-query deadlines; if one
                 // arrives expired, answer with an error rather than waste
                 // engine time on it.
-                match admitted.payload {
-                    Job::Single { reply, .. } => {
-                        let _ = reply.send(SubOutcome::Error);
-                    }
-                    Job::Batch { subs, reply, .. } => {
-                        let _ = reply.send(vec![SubOutcome::Error; subs.len()]);
-                    }
-                }
+                admitted.payload.answer_all(SubOutcome::Error);
             }
             TakeOutcome::TimedOut => {}
             TakeOutcome::Closed => return,
@@ -480,36 +483,6 @@ fn rings_engine_loop(
     // only — see the broker loop's breadcrumb note.
     let engine = 1000 * (data.shard() as u32 + 1) + engine;
     let mut idle = false;
-    let engine_state = |parked: bool| {
-        let sink = gate.sink();
-        if sink.enabled() {
-            sink.emit(&Event::EngineState {
-                at: gate.clock().now(),
-                engine,
-                parked,
-            });
-        }
-    };
-    let emit_spans = |ctx: Option<TraceContext>, enqueued_at: u64, dequeued_at: u64| {
-        if let (Some(tracer), Some(ctx)) = (tracer, ctx) {
-            if ctx.sampled {
-                tracer.emit_span(
-                    ctx.trace,
-                    SpanKind::ShardQueue { shard },
-                    ctx.parent,
-                    enqueued_at,
-                    dequeued_at,
-                );
-                tracer.emit_span(
-                    ctx.trace,
-                    SpanKind::ShardService { shard },
-                    ctx.parent,
-                    dequeued_at,
-                    gate.clock().now(),
-                );
-            }
-        }
-    };
     loop {
         if stop.load(Ordering::Acquire) {
             return;
@@ -555,7 +528,7 @@ fn rings_engine_loop(
                 assert!(pushed, "shard reply ring full");
                 if !cancelled {
                     gate.complete(DEFAULT_TYPE, enqueued_at, dequeued_at);
-                    emit_spans(ctx, enqueued_at, dequeued_at);
+                    emit_spans(tracer, gate, shard, ctx, enqueued_at, dequeued_at);
                 }
             });
             worked |= serviced.is_some();
@@ -563,7 +536,7 @@ fn rings_engine_loop(
         if worked {
             if idle {
                 idle = false;
-                engine_state(false);
+                engine_state(gate, engine, false);
             }
             continue;
         }
@@ -574,7 +547,7 @@ fn rings_engine_loop(
         }
         if !idle {
             idle = true;
-            engine_state(true);
+            engine_state(gate, engine, true);
         }
         rig.waker.park(Duration::from_millis(1));
     }

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -305,6 +305,15 @@ struct TcpConn {
     pending: Pending,
 }
 
+impl Drop for TcpConn {
+    /// Shuts the socket itself down, not just this handle's descriptor:
+    /// the reader thread's clone then sees EOF and exits, and so do the
+    /// server's connection threads, releasing their shard host.
+    fn drop(&mut self) {
+        let _ = self.writer.get_mut().shutdown(Shutdown::Both);
+    }
+}
+
 /// TCP client to one shard, multiplexing requests over a small pool of
 /// connections by correlation id.
 pub struct TcpShardClient {
@@ -375,35 +384,40 @@ impl TcpShardClient {
         &self.pool
     }
 
-    /// Registers a waiter, writes one staged frame, and unwinds the waiter
-    /// on a failed write.
-    fn send_frame(&self, id: u64, conn: &TcpConn, frame: &[u8]) {
+    /// Registers `waiter` under a fresh correlation id on the next
+    /// connection, stages one frame with `encode(frame, id)`, writes it,
+    /// and unwinds the waiter on a failed write.
+    fn request(
+        &self,
+        waiter: PendingTx,
+        encode: impl FnOnce(&mut Vec<u8>, u64),
+    ) -> (Arc<TcpConn>, u64) {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let next = self.next_conn.fetch_add(1, Ordering::Relaxed) % self.conns.len();
+        let conn = Arc::clone(&self.conns[next]);
+        conn.pending.lock().insert(id, waiter);
+        let mut frame = self.pool.get();
+        let start = begin_frame(&mut frame);
+        encode(&mut frame, id);
+        end_frame(&mut frame, start);
         let mut writer = conn.writer.lock();
-        let write_result = writer.write_all(frame).and_then(|_| writer.flush());
+        let write_result = writer.write_all(&frame).and_then(|_| writer.flush());
         drop(writer);
         if write_result.is_err() {
             if let Some(tx) = conn.pending.lock().remove(&id) {
                 tx.fail();
             }
         }
-    }
-
-    fn next_conn(&self) -> &Arc<TcpConn> {
-        &self.conns[self.next_conn.fetch_add(1, Ordering::Relaxed) % self.conns.len()]
+        (conn, id)
     }
 }
 
 impl ShardClient for TcpShardClient {
     fn submit(&self, sub: SubQuery, ctx: Option<TraceContext>) -> Receiver<SubOutcome> {
         let (tx, rx) = bounded(1);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = self.next_conn();
-        conn.pending.lock().insert(id, PendingTx::Single(tx));
-        let mut frame = self.pool.get();
-        let start = begin_frame(&mut frame);
-        encode_subquery_into(&mut frame, id, &sub, ctx.as_ref());
-        end_frame(&mut frame, start);
-        self.send_frame(id, conn, &frame);
+        self.request(PendingTx::Single(tx), |frame, id| {
+            encode_subquery_into(frame, id, &sub, ctx.as_ref())
+        });
         rx
     }
 
@@ -412,22 +426,7 @@ impl ShardClient for TcpShardClient {
         subs: Vec<SubQuery>,
         ctx: Option<TraceContext>,
     ) -> Receiver<Vec<SubOutcome>> {
-        let (tx, rx) = bounded(1);
-        if subs.is_empty() {
-            let _ = tx.send(Vec::new());
-            return rx;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = self.next_conn();
-        conn.pending
-            .lock()
-            .insert(id, PendingTx::Batch(tx, subs.len()));
-        let mut frame = self.pool.get();
-        let start = begin_frame(&mut frame);
-        encode_subquery_batch_into(&mut frame, id, &subs, ctx.as_ref());
-        end_frame(&mut frame, start);
-        self.send_frame(id, conn, &frame);
-        rx
+        self.submit_batch_cancellable(subs, ctx).0
     }
 
     fn submit_batch_cancellable(
@@ -440,16 +439,9 @@ impl ShardClient for TcpShardClient {
             let _ = tx.send(Vec::new());
             return (rx, CancelHandle::noop());
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = Arc::clone(self.next_conn());
-        conn.pending
-            .lock()
-            .insert(id, PendingTx::Batch(tx, subs.len()));
-        let mut frame = self.pool.get();
-        let start = begin_frame(&mut frame);
-        encode_subquery_batch_into(&mut frame, id, &subs, ctx.as_ref());
-        end_frame(&mut frame, start);
-        self.send_frame(id, &conn, &frame);
+        let (conn, id) = self.request(PendingTx::Batch(tx, subs.len()), |frame, id| {
+            encode_subquery_batch_into(frame, id, &subs, ctx.as_ref())
+        });
         (rx, CancelHandle(CancelInner::Tcp { conn, id }))
     }
 }
@@ -508,6 +500,24 @@ mod tests {
             );
         }
         server.stop();
+        host.shutdown();
+    }
+
+    #[test]
+    fn dropped_client_and_stopped_server_release_the_host() {
+        let (_g, host) = test_host();
+        let server = TcpShardServer::serve(Arc::clone(&host), "127.0.0.1:0").unwrap();
+        let client = TcpShardClient::connect(server.addr(), 2).unwrap();
+        let rx = client.submit(SubQuery::Degree(1), None);
+        assert!(matches!(rx.recv().unwrap(), SubOutcome::Ok(_)));
+        drop(client);
+        server.stop();
+        // Every connection thread sees EOF and drops its host handle.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        while Arc::strong_count(&host) > 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(Arc::strong_count(&host), 1, "server threads still hold the host");
         host.shutdown();
     }
 
