@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 use crate::graph::VertexId;
 use crate::query::{Query, QueryKind, RepBatch, RepStatus, SubQuery, SubResponse};
 use crate::rings::{
-    BrokerEngineRig, BrokerRig, LaneReq, LaneSet, ShardPortRings, ShardRep, RING_CAP,
+    idle_step, BrokerEngineRig, BrokerRig, LaneReq, LaneSet, ShardPortRings, ShardRep, RING_CAP,
 };
 use crate::shard::{ShardHost, SubOutcome};
 use crate::transport::{CancelHandle, ShardClient};
@@ -273,10 +273,10 @@ const HEDGE_DELAY_MIN: Nanos = 200_000;
 /// Clamp ceiling: past 5ms a straggler is better served by the sub-query
 /// timeout machinery than by a duplicate.
 const HEDGE_DELAY_MAX: Nanos = 5_000_000;
-/// Nap between polls of a hedge race. Neither transport can block on two
-/// replies at once, so the race polls both replicas; the nap adds latency
-/// well under [`HEDGE_DELAY_MIN`], and a race lives at most one sub-query
-/// timeout.
+/// Nap between polls of a channel-mode hedge race (the default
+/// [`ShardPort::pause`]). Neither transport can block on two replies at
+/// once, so the race polls both replicas; the nap adds latency well under
+/// [`HEDGE_DELAY_MIN`], and a race lives at most one sub-query timeout.
 const HEDGE_POLL_NAP: Duration = Duration::from_micros(20);
 
 /// Per-engine estimator of the hedge delay: a ring of recent sub-query
@@ -548,14 +548,14 @@ impl Broker {
             .map(|(i, mut engine_rig)| {
                 let rings = std::mem::take(&mut engine_rig.ports);
                 assert_eq!(rings.len(), hosts.len(), "one ring port per physical host");
+                let timeout = cfg.subquery_timeout;
                 let ports: Vec<RingPort> = rings
                     .into_iter()
                     .zip(&hosts)
-                    .map(|(rings, host)| RingPort::new(rings, Arc::clone(host)))
+                    .map(|(rings, host)| RingPort::new(rings, Arc::clone(host), timeout))
                     .collect();
                 let gate = Arc::clone(&gate);
                 let router = Arc::clone(&router);
-                let timeout = cfg.subquery_timeout;
                 let deadline = cfg.query_deadline;
                 let tracer = tracer.clone();
                 let stop = Arc::clone(&stop);
@@ -964,37 +964,8 @@ fn rings_engine_loop(
             let pushed = lane_reps[l].try_push(|slot| slot.outcome = outcome);
             assert!(pushed, "lane reply ring full (protocol violation)");
         }
-        if worked {
-            if idle {
-                idle = false;
-                engine_state(gate, engine, false);
-            }
-            continue;
-        }
-        waker.prepare_park();
-        if stop.load(Ordering::Acquire) || lane_reqs.iter().any(|r| !r.is_empty()) {
-            waker.cancel_park();
-            continue;
-        }
-        if !idle {
-            idle = true;
-            engine_state(gate, engine, true);
-        }
-        waker.park(Duration::from_millis(1));
-    }
-}
-
-/// Emits the `engine_state` park/resume breadcrumb through the gate's
-/// sink (a no-op unless an observing sink — recorder, JSONL — is
-/// attached). Shared by the broker and shard engine loops.
-pub(crate) fn engine_state<J>(gate: &Gate<J>, engine: u32, parked: bool) {
-    let sink = gate.sink();
-    if sink.enabled() {
-        sink.emit(&Event::EngineState {
-            at: gate.clock().now(),
-            engine,
-            parked,
-        });
+        let busy = || stop.load(Ordering::Acquire) || lane_reqs.iter().any(|r| !r.is_empty());
+        idle_step(gate, engine, &mut idle, worked, &waker, busy);
     }
 }
 
@@ -1177,6 +1148,11 @@ trait ShardPort {
 
     /// Gives up on the live request, if any.
     fn abandon(&mut self);
+
+    /// Pauses between two rounds of polls in a hedge race.
+    fn pause(&self) {
+        std::thread::sleep(HEDGE_POLL_NAP);
+    }
 }
 
 /// A channel-mode port over a [`ShardClient`] (in-process or TCP).
@@ -1257,6 +1233,11 @@ impl ShardPort for ChannelPort {
     }
 }
 
+/// Most replies a [`RingPort`] may owe when it sends: owed + the live
+/// request + one answered request whose slot the shard has not yet freed
+/// must fit in a `RING_CAP` ring.
+const MAX_OWED: usize = RING_CAP - 2;
+
 /// One engine's private ring pair to one shard replica, plus the shard
 /// host handle used for admission accounting on that replica's gate.
 /// Allocation-free: sends and replies swap buffers in and out of the ring
@@ -1273,10 +1254,12 @@ struct RingPort {
     owed: usize,
     /// Landing buffers for discarded replies.
     stale: ShardRep,
+    /// How long a send at the cap waits for an owed reply to drain.
+    drain_wait: Duration,
 }
 
 impl RingPort {
-    fn new(rings: ShardPortRings, host: Arc<ShardHost>) -> Self {
+    fn new(rings: ShardPortRings, host: Arc<ShardHost>, drain_wait: Duration) -> Self {
         Self {
             rings,
             host,
@@ -1284,13 +1267,14 @@ impl RingPort {
             cancel: None,
             owed: 0,
             stale: ShardRep::default(),
+            drain_wait,
         }
     }
 
-    /// Discards owed replies, waiting for them until `deadline`. `true`
-    /// once none is owed.
-    fn drain_owed(&mut self, deadline: Instant) -> bool {
-        while self.owed > 0 {
+    /// Discards owed replies until at most `keep` are owed, waiting for
+    /// them until `deadline`. `true` once at most `keep` are owed.
+    fn drain_owed(&mut self, keep: usize, deadline: Instant) -> bool {
+        while self.owed > keep {
             let wait = deadline.saturating_duration_since(Instant::now());
             let stale = &mut self.stale;
             if !pop_reply(&mut self.rings.rep, wait, &mut stale.batch, &mut stale.subs) {
@@ -1329,12 +1313,10 @@ impl ShardPort for RingPort {
         ctx: Option<TraceContext>,
         cancellable: bool,
     ) -> Result<bool, PlanError> {
-        if self.owed > 0 {
-            self.drain_owed(Instant::now());
-        }
-        // Every request in flight owes one reply and the reply ring holds
-        // RING_CAP of them: past that the shard could not push an answer.
-        if self.owed >= RING_CAP {
+        // At the cap, wait for the oldest owed reply like a live request
+        // would be waited for; a sustained straggler then slows its port's
+        // queries down instead of failing them.
+        if self.owed > MAX_OWED && !self.drain_owed(MAX_OWED, Instant::now() + self.drain_wait) {
             return Err(PlanError::ShardFailed);
         }
         let Ok(now) = self.host.ring_admit() else {
@@ -1371,7 +1353,7 @@ impl ShardPort for RingPort {
     ) -> Option<Result<(), PlanError>> {
         if self.owed > 0 {
             let deadline = Instant::now() + timeout;
-            if !self.drain_owed(deadline) {
+            if !self.drain_owed(0, deadline) {
                 return None;
             }
             timeout = deadline.saturating_duration_since(Instant::now());
@@ -1391,6 +1373,11 @@ impl ShardPort for RingPort {
                 cancel.store(true, Ordering::Release);
             }
         }
+    }
+
+    /// Ring polls are lock-free: yield instead of napping past a reply.
+    fn pause(&self) {
+        std::thread::yield_now();
     }
 }
 
@@ -1788,7 +1775,7 @@ impl<'a, P: ShardPort> Exec<'a, P> {
             if racing == [false, false] || clock.now() >= deadline {
                 break None;
             }
-            std::thread::sleep(HEDGE_POLL_NAP);
+            self.ports[p].pause();
         };
         router.end(s, r);
         router.end(s, hr);
@@ -1850,14 +1837,10 @@ impl<'a, P: ShardPort> Exec<'a, P> {
         Ok(s)
     }
 
-    fn neighbors_round(&mut self, v: VertexId) -> Result<usize, PlanError> {
-        self.one_round(v, SubQuery::Neighbors(v))
-    }
-
     /// `Neighbors` round with the list copied into a caller buffer (for
     /// plans that need it across later rounds).
     fn neighbors_into(&mut self, v: VertexId, out: &mut Vec<VertexId>) -> Result<(), PlanError> {
-        let s = self.neighbors_round(v)?;
+        let s = self.one_round(v, SubQuery::Neighbors(v))?;
         out.clear();
         let list = self.next_list(s)?;
         out.extend_from_slice(list);
@@ -1979,12 +1962,12 @@ fn execute_plan<P: ShardPort>(exec: &mut Exec<'_, P>, q: Query) -> Result<u64, P
             Ok((exec.next_scalar(s)? != 0) as u64)
         }
         QueryKind::Qt3NeighborsPage => {
-            let s = exec.neighbors_round(q.u)?;
+            let s = exec.one_round(q.u, SubQuery::Neighbors(q.u))?;
             let n = exec.next_list(s)?;
             Ok(n.len().min(PAGE) as u64)
         }
         QueryKind::Qt4NeighborsFull => {
-            let s = exec.neighbors_round(q.u)?;
+            let s = exec.one_round(q.u, SubQuery::Neighbors(q.u))?;
             let n = exec.next_list(s)?;
             // Broker-side post-processing: checksum the full list.
             let checksum: u64 = n
@@ -2004,7 +1987,7 @@ fn execute_plan<P: ShardPort>(exec: &mut Exec<'_, P>, q: Query) -> Result<u64, P
         QueryKind::Qt6NeighborDegrees => {
             let mut sample = std::mem::take(&mut exec.scratch.frontier);
             sample.clear();
-            let prep = exec.neighbors_round(q.u).and_then(|s| {
+            let prep = exec.one_round(q.u, SubQuery::Neighbors(q.u)).and_then(|s| {
                 let n = exec.next_list(s)?;
                 sample.extend(n.iter().copied().take(DEGREE_SAMPLE));
                 Ok(())

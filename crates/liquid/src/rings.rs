@@ -24,8 +24,10 @@ use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use bouncer_core::obs::TraceContext;
+use bouncer_core::framework::Gate;
+use bouncer_core::obs::{Event, TraceContext};
 use bouncer_metrics::spsc::{channel, Consumer, Producer, RingProbe, Waker};
 use bouncer_metrics::Nanos;
 
@@ -313,6 +315,38 @@ pub(crate) fn build_topology(
     (broker_rigs, shard_rigs)
 }
 
+/// The tail of one ring engine sweep, shared by the broker and shard
+/// engine loops: after a sweep that found no work, parks on `waker` for
+/// up to 1 ms unless `busy` (a stop request or a non-empty ring) says not
+/// to. The `engine_state` breadcrumb is emitted only on park/resume
+/// transitions, tracked in `idle`.
+pub(crate) fn idle_step<J>(
+    gate: &Gate<J>,
+    engine: u32,
+    idle: &mut bool,
+    worked: bool,
+    waker: &Waker,
+    busy: impl FnOnce() -> bool,
+) {
+    if !worked {
+        waker.prepare_park();
+        if busy() {
+            waker.cancel_park();
+            return;
+        }
+    }
+    // A transition: work found while idle, or none found while active.
+    let sink = gate.sink();
+    if *idle == worked && sink.enabled() {
+        let at = gate.clock().now();
+        sink.emit(&Event::EngineState { at, engine, parked: !worked });
+    }
+    *idle = !worked;
+    if !worked {
+        waker.park(Duration::from_millis(1));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,9 +466,6 @@ mod tests {
         for u in 0..20 {
             let want = ClientOutcome::Ok(g.degree(u) as u64);
             assert_eq!(broker.execute(degree(u)), want, "u={u}");
-            // Pace past the nap so abandoned losers drain from the
-            // primary's port instead of piling up to its cap.
-            std::thread::sleep(Duration::from_millis(15));
         }
         let hc = broker.hedge_counters();
         assert!(hc.hedges >= 20, "expected a hedge per query, got {hc:?}");

@@ -21,10 +21,9 @@ use bouncer_metrics::{Clock, Nanos};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::broker::engine_state;
 use crate::graph::{self, ShardData};
 use crate::query::{IdLists, RepBatch, RepStatus, SubQuery, SubResponse};
-use crate::rings::{ShardEngineRig, ShardRig};
+use crate::rings::{idle_step, ShardEngineRig, ShardRig};
 
 /// Outcome of a sub-query as observed by the calling broker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -490,8 +489,9 @@ fn rings_engine_loop(
         let mut worked = false;
         for (req, rep) in rig.ports.iter_mut() {
             // Execute inside the pop closure: the slot is ours until the
-            // closure returns, and with at most one outstanding request
-            // per pair nothing waits on the slot being released early.
+            // closure returns, and the broker's port leaves room for it
+            // (its `MAX_OWED`), so nothing waits on the slot being
+            // released early.
             // The `subs` buffer travels back inside the reply so the
             // broker reclaims it (and the payload `Arc`s it holds) the
             // moment it pops — no cross-thread drop races.
@@ -523,8 +523,8 @@ fn rings_engine_loop(
                     }
                     out.subs = subs;
                 });
-                // Reply capacity == request capacity and the broker pops
-                // every reply before reusing the pair, so this cannot fail.
+                // Reply capacity == request capacity and the broker keeps
+                // fewer requests in flight per pair, so this cannot fail.
                 assert!(pushed, "shard reply ring full");
                 if !cancelled {
                     gate.complete(DEFAULT_TYPE, enqueued_at, dequeued_at);
@@ -533,23 +533,9 @@ fn rings_engine_loop(
             });
             worked |= serviced.is_some();
         }
-        if worked {
-            if idle {
-                idle = false;
-                engine_state(gate, engine, false);
-            }
-            continue;
-        }
-        rig.waker.prepare_park();
-        if stop.load(Ordering::Acquire) || rig.ports.iter().any(|(req, _)| !req.is_empty()) {
-            rig.waker.cancel_park();
-            continue;
-        }
-        if !idle {
-            idle = true;
-            engine_state(gate, engine, true);
-        }
-        rig.waker.park(Duration::from_millis(1));
+        let busy =
+            || stop.load(Ordering::Acquire) || rig.ports.iter().any(|(req, _)| !req.is_empty());
+        idle_step(gate, engine, &mut idle, worked, &rig.waker, busy);
     }
 }
 
